@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-trend fuzz-smoke serve fmt vet ci smoke smoke-session smoke-metrics smoke-cluster
+.PHONY: all build test bench bench-json bench-trend fuzz-smoke serve fmt vet perfbench-check ci smoke smoke-session smoke-metrics smoke-cluster
 
 all: build
 
@@ -63,6 +63,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# perfbench is its own module (it lies outside ./...), so vet and test
+# it separately: an API change that breaks the end-to-end benchmark
+# fails here instead of at the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Scenario determinism + generator->solver pipeline, as CI runs them.
 # SHELLFLAGS adds pipefail so a generator failure cannot hide behind the
 # downstream consumer's exit status.
@@ -86,18 +92,18 @@ smoke-session:
 
 # Observability smoke (the CI step): start ufpserve, drive one request
 # through each instrumented subsystem — register + admit for the
-# session layer, the same solve twice for an engine cache hit, and a
-# 64-vertex path network streamed past one landmark staleness window
-# under an unattainable -landmark-stale-ratio so the lifecycle rebuilds
-# at least once — then assert /metrics exposes non-zero counters for
-# the http, session, engine-cache, and landmark-lifecycle subsystems.
+# session layer, the same solve twice for an engine cache hit, and 40
+# admits on a 64-vertex path network, which gets auto-built landmark
+# tables — then assert /metrics exposes non-zero counters for the http,
+# session, engine-cache, and path-oracle subsystems, and exactly zero
+# landmark rebuilds (monotone prices never violate the tables' bounds).
 # One shell invocation so the EXIT trap always reaps the background
 # server.
 smoke-metrics: SHELL := /bin/bash
 smoke-metrics: .SHELLFLAGS := -o pipefail -c
 smoke-metrics:
 	$(GO) build -o /tmp/ufpserve-smoke ./cmd/ufpserve
-	/tmp/ufpserve-smoke -addr 127.0.0.1:18080 -landmark-stale-ratio 0.99 & \
+	/tmp/ufpserve-smoke -addr 127.0.0.1:18080 & \
 	trap 'kill $$! 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do \
 		curl -sf 127.0.0.1:18080/v1/readyz > /dev/null && break; sleep 0.1; \
@@ -124,7 +130,8 @@ smoke-metrics:
 	grep -Eq '^ufp_http_requests_total\{.*\} [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_session_admits_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_engine_cache_hits_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
-	grep -Eq '^ufp_pathcache_landmark_rebuilds_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
+	grep -Eq '^ufp_pathcache_oracle_searches [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
+	grep -q '^ufp_pathcache_landmark_rebuilds_total 0$$' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_pathcache_landmark_registry_lookups_total\{result="miss"\} [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	echo "metrics exposition smoke: ok"
 
@@ -167,4 +174,4 @@ smoke-cluster:
 	grep -q '^ufp_shard_misrouted_total 0$$' /tmp/cluster-metrics-1.txt; \
 	echo "cluster smoke: ok"
 
-ci: fmt vet build test bench fuzz-smoke smoke smoke-session smoke-metrics smoke-cluster
+ci: fmt vet perfbench-check build test bench fuzz-smoke smoke smoke-session smoke-metrics smoke-cluster

@@ -202,9 +202,9 @@ func BenchmarkEngineCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkDijkstraCSR compares one pooled-scratch Dijkstra on the
-// frozen CSR fast path against the adjacency-walk fallback (waxman
-// backbone; shared with cmd/benchjson via internal/bench). testing.Short
+// BenchmarkDijkstraCSR measures one pooled-scratch Dijkstra over the
+// frozen CSR (waxman backbone; shared with cmd/benchjson via
+// internal/bench). testing.Short
 // shrinks the instance, which is how CI's -benchtime=1x smoke avoids
 // the full waxman-1k build.
 func BenchmarkDijkstraCSR(b *testing.B) {

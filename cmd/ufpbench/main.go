@@ -580,7 +580,7 @@ func runSession(out io.Writer, cfg sessionBenchConfig) error {
 			info.OracleSearches, info.OraclePruneRatio*100)
 	}
 	if info.LandmarkRebuilds > 0 {
-		fmt.Fprintf(out, "  landmark rebuilds  %d (stale tables re-selected against current prices)\n",
+		fmt.Fprintf(out, "  landmark rebuilds  %d (lower-bound violations; tables rebuilt against current prices)\n",
 			info.LandmarkRebuilds)
 	}
 	if info.BidiProbes > 0 {

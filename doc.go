@@ -94,8 +94,8 @@
 // (CSR) adjacency by Graph.Freeze — the form every shortest-path inner
 // loop runs on. Freeze is cheap, idempotent, and safe under concurrent
 // readers; the generators and the scenario catalog freeze for you, and
-// the solvers freeze on entry if the caller forgot (unfrozen graphs
-// still work via a slower adjacency walk). Capacity updates never
+// every path search freezes on entry if the caller forgot. Capacity
+// updates never
 // invalidate the frozen form — it holds topology only — but any
 // topology mutation (AddEdge, AddVertex, SubdivideEdge) drops it, so
 // re-freeze (or let the next solve rebuild) after structural changes.
@@ -118,15 +118,14 @@
 // fan-out to choose tree rebuilds versus oracle queries
 // (Options.Adaptive / Landmarks / Bidirectional); the mechanism's
 // payment bisection enables them automatically. The landmark tables
-// live a build → slack → rebuild lifecycle: built at registration,
-// their pruning power decays as prices drift above the snapshot, and
-// the oracle re-selects them against current prices when the observed
-// prune ratio slacks below a staleness threshold (or when a
-// bound-violating caller spends the violation budget) — valid at any
-// moment because today's prices lower-bound all future ones. One
+// are built once, at registration, from the initial prices: prices only
+// rise, so that snapshot lower-bounds every later price and the tables
+// stay valid for the whole run. They are rebuilt only if a caller ever
+// breaks the monotone contract (a weight below its recorded bound),
+// within a fixed violation budget past which they disable. One
 // immutable table set per topology is shared process-wide through
 // pathfind.SharedLandmarks (engine shards, mechanism bisection
-// probes); staleness rebuilds stay session-private since they snapshot
+// probes); violation rebuilds stay session-private since they snapshot
 // one session's prices. Cached answers
 // are bit-identical to recomputation (every kind's tie-break is
 // canonical, and each acceleration provably preserves it), so the

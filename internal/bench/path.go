@@ -263,26 +263,10 @@ func congestedInstance(quick bool) *congestedNet {
 	return v.(*congestedNet)
 }
 
-// unfrozen rebuilds a structurally identical graph without a frozen
-// CSR, for the adjacency-walk baseline.
-func unfrozen(g *graph.Graph) *graph.Graph {
-	var c *graph.Graph
-	if g.Directed() {
-		c = graph.New(g.NumVertices())
-	} else {
-		c = graph.NewUndirected(g.NumVertices())
-	}
-	for _, e := range g.Edges() {
-		c.AddEdge(e.From, e.To, e.Capacity)
-	}
-	return c
-}
-
 // PathCases returns the path-engine suite:
 //
-//   - DijkstraCSR/{csr,adjacency}: one pooled-scratch Dijkstra over the
-//     waxman backbone, on the frozen CSR fast path versus the
-//     slice-of-slices adjacency fallback.
+//   - DijkstraCSR/csr: one pooled-scratch Dijkstra over the waxman
+//     backbone's frozen CSR.
 //   - IncrementalSolve/{full-recompute,incremental}: Bounded-UFP on the
 //     waxman-1k scenario with the dirty-source tree cache off and on —
 //     identical allocations, the ns/op ratio is the refactor's speedup.
@@ -307,14 +291,16 @@ func unfrozen(g *graph.Graph) *graph.Graph {
 //     potential (BottleneckPathToALT); both return bit-identical
 //     paths, and the potential's strict bounds keep the goal-directed
 //     search out of the dead-end region the plain search floods.
-//   - LandmarkRebuild/{stale,rebuilt}: the landmark lifecycle's payoff —
-//     ALT single-target queries under late-session exponential prices
+//   - LandmarkRebuild/{stale,rebuilt}: what Landmarks.Rebuild buys one
+//     search — ALT single-target queries under late-session exponential
+//     prices
 //     (reconstructed from a genuine twenty-pass ε=1 admit stream over
 //     the waxman-400 long-session network, which reprices most of its
 //     edges) served by the registration-time tables versus tables
 //     re-selected against the evolved prices. Both are correct (stale
-//     bounds stay admissible); the ratio is the pruning power a
-//     staleness rebuild restores.
+//     bounds stay admissible); the ratio is the pruning power a rebuild
+//     restores to a search in isolation. End to end, rebuilding on the
+//     admit path cost more than that, so sessions keep their tables.
 //   - AuctionReasonable/{full-recompute,incremental}: the iterative
 //     bundle-min engine (ExpBundleRule) with the dirty-request length
 //     cache off and on — identical selections, the ratio is the cache's
@@ -446,9 +432,8 @@ func PathCases(quick bool) []Case {
 			weight := pathfind.FromSlice(net.w)
 			var lm *pathfind.Landmarks
 			if mode == "landmark" {
-				// Tables on the congested snapshot — what a staleness
-				// rebuild hands a long-lived session after the region
-				// repriced.
+				// Tables on the congested snapshot: bounds that already
+				// see the region's repricing.
 				lm = pathfind.BuildLandmarks(g, pathfind.DefaultLandmarkCount, weight).WithBottleneck(g)
 			}
 			scratch := pathfind.NewScratch(g.NumVertices())
@@ -563,9 +548,6 @@ func PathCases(quick bool) []Case {
 			g.Freeze()
 			dijkstra(g)(b)
 		}},
-		{"DijkstraCSR/adjacency", func(b *testing.B) {
-			dijkstra(unfrozen(waxmanInstance(quick).G))(b)
-		}},
 		{"IncrementalSolve/full-recompute", solve(true)},
 		{"IncrementalSolve/incremental", solve(false)},
 		{"IncrementalBottleneck/full-recompute", bottleneck(true)},
@@ -659,8 +641,7 @@ type Snapshot struct {
 	BottleneckSingleTargetSpeedup float64 `json:"bottleneck_single_target_speedup,omitempty"`
 	// LandmarkRebuildSpeedup is stale-table ns/op over rebuilt-table
 	// ns/op for ALT queries under late-session prices: the pruning power
-	// a staleness rebuild restores to a long-lived session (the landmark
-	// lifecycle's ≥1.3× target).
+	// a rebuild restores to one search.
 	LandmarkRebuildSpeedup float64 `json:"landmark_rebuild_speedup,omitempty"`
 	// AuctionSpeedup is full-recompute ns/op over incremental ns/op for
 	// the iterative bundle-min engine — the dirty-request length cache's

@@ -80,11 +80,6 @@ type Options struct {
 	// session or per shard. The serving stack passes
 	// pathfind.SharedLandmarks.
 	LandmarkRegistry *pathfind.LandmarkRegistry
-	// LandmarkStaleRatio tunes the landmark lifecycle's prune-ratio
-	// rebuild threshold (see pathfind.OracleConfig.StalePruneRatio).
-	// Zero keeps pathfind.DefaultStalePruneRatio; negative disables
-	// prune-driven rebuilds.
-	LandmarkStaleRatio float64
 	// OnLandmarkRebuild, if non-nil, observes every landmark rebuild
 	// with its duration in seconds (see pathfind.OracleConfig.OnRebuild)
 	// — the monotone-counter hook the session metrics feed on.
@@ -94,17 +89,6 @@ type Options struct {
 	// forward rerun) — the mechanism's critical-value bisection enables
 	// this for its probe re-solves.
 	Bidirectional bool
-	// PolicyWarmup tunes the adaptive refresh policy's warm-up demand
-	// count (see pathfind.OracleConfig.PolicyWarmup). Zero keeps
-	// pathfind.DefaultPolicyWarmup; negative means no warm-up. Only
-	// meaningful with Adaptive; allocations are identical regardless —
-	// the policy moves work, never results.
-	PolicyWarmup int
-	// PolicyCostRatio tunes the adaptive policy's dirty-rate threshold
-	// (see pathfind.OracleConfig.PolicyCostRatio). Zero keeps
-	// pathfind.DefaultPolicyCostRatio; negative means zero (every
-	// eligible post-warm-up slot routes to single-target search).
-	PolicyCostRatio float64
 	// PathPool, if non-nil, supplies the Dijkstra scratch buffers
 	// (see pathfind.Pool). Sharing one pool across many solves — as the
 	// engine does across its worker pool — keeps the per-solve allocation
@@ -154,32 +138,11 @@ func (o *Options) landmarks() *pathfind.Landmarks {
 
 func (o *Options) bidirectional() bool { return o != nil && o.Bidirectional }
 
-func (o *Options) policyWarmup() int {
-	if o == nil {
-		return 0
-	}
-	return o.PolicyWarmup
-}
-
-func (o *Options) policyCostRatio() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.PolicyCostRatio
-}
-
 func (o *Options) landmarkRegistry() *pathfind.LandmarkRegistry {
 	if o == nil {
 		return nil
 	}
 	return o.LandmarkRegistry
-}
-
-func (o *Options) landmarkStaleRatio() float64 {
-	if o == nil {
-		return 0
-	}
-	return o.LandmarkStaleRatio
 }
 
 func (o *Options) onLandmarkRebuild() func(float64) {
@@ -190,16 +153,13 @@ func (o *Options) onLandmarkRebuild() func(float64) {
 }
 
 // oracleConfig assembles the single-target oracle configuration the
-// options describe (landmarks and bidirectional probes for additive
-// caches, adaptive-policy and staleness knobs for every kind).
+// options describe: landmarks, bidirectional probes and the rebuild
+// hook.
 func (o *Options) oracleConfig(lm *pathfind.Landmarks) pathfind.OracleConfig {
 	return pathfind.OracleConfig{
-		Landmarks:       lm,
-		Bidirectional:   o.bidirectional(),
-		PolicyWarmup:    o.policyWarmup(),
-		PolicyCostRatio: o.policyCostRatio(),
-		StalePruneRatio: o.landmarkStaleRatio(),
-		OnRebuild:       o.onLandmarkRebuild(),
+		Landmarks:     lm,
+		Bidirectional: o.bidirectional(),
+		OnRebuild:     o.onLandmarkRebuild(),
 	}
 }
 

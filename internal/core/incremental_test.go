@@ -68,10 +68,12 @@ func TestIncrementalMatchesFullRecomputeSolvers(t *testing.T) {
 	}
 }
 
-// TestPolicyKnobsInvariance: the adaptive-policy knobs threaded through
-// Options and EngineOptions only move work between tree refreshes and
-// single-target searches — allocations are identical at both extremes
-// (everything routes single; warm-up so long nothing ever does).
+// TestPolicyKnobsInvariance: the adaptive refresh policy only moves
+// work between tree refreshes and single-target searches — allocations
+// under it, and under static single-target routing (the policy's
+// never-warm extreme), are identical to a full recompute. The policy's
+// tuning values are pathfind constants; pathfind's TestPolicyKnobs
+// drives them to both extremes.
 func TestPolicyKnobsInvariance(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		inst := randomInstance(t, seed+70, workload.UFPConfig{
@@ -84,8 +86,8 @@ func TestPolicyKnobsInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for label, opt := range map[string]*core.Options{
-			"eager":  {Adaptive: true, PolicyWarmup: -1, PolicyCostRatio: -1},
-			"frozen": {Adaptive: true, PolicyWarmup: 1 << 30, PolicyCostRatio: 10},
+			"adaptive": {Adaptive: true},
+			"static":   {SingleTarget: true},
 		} {
 			got, err := core.BoundedUFP(inst, 0.3, opt)
 			if err != nil {
@@ -101,13 +103,12 @@ func TestPolicyKnobsInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		egot, err := core.IterativePathMin(inst, core.EngineOptions{
-			Rule: &core.ExpRule{}, Eps: 0.3, UseDualStop: true,
-			Adaptive: true, PolicyWarmup: -1, PolicyCostRatio: -1,
+			Rule: &core.ExpRule{}, Eps: 0.3, UseDualStop: true, Adaptive: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocationsIdentical(t, "engine/eager", ewant, egot)
+		allocationsIdentical(t, "engine/adaptive", ewant, egot)
 	}
 }
 

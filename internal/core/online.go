@@ -128,11 +128,10 @@ const autoLandmarkMinVertices = 64
 // autoLandmarkMinVertices or more vertices get tables built from the
 // initial prices automatically — prices only rise, so the bounds hold
 // for the state's whole life — shared through Options.LandmarkRegistry
-// when one is configured. The landmark lifecycle keeps long sessions
-// fast: once the oracle's observed prune ratio decays below the
-// staleness threshold (Options.LandmarkStaleRatio), the tables are
-// rebuilt against the current prices (Options.OnLandmarkRebuild
-// observes each rebuild). Other Options fields are ignored — admission
+// when one is configured. The tables are only rebuilt if a price ever
+// falls below its recorded bound (Options.OnLandmarkRebuild observes
+// each rebuild), which monotone prices never do. Other Options fields
+// are ignored — admission
 // is a single-query step with no intra-step parallelism or tie-break
 // surface.
 func NewAdmissionState(g *graph.Graph, eps float64, opt *Options) (*AdmissionState, error) {

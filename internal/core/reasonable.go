@@ -43,10 +43,6 @@ type State struct {
 	// Bidirectional routes the caches' single-target misses through the
 	// bidirectional probe (see EngineOptions.Bidirectional).
 	Bidirectional bool
-	// PolicyWarmup / PolicyCostRatio tune the caches' adaptive refresh
-	// policy (see EngineOptions; zero keeps the pathfind defaults).
-	PolicyWarmup    int
-	PolicyCostRatio float64
 	// Pool supplies the Dijkstra/bottleneck scratch buffers shared by the
 	// rules' per-group path queries. IterativePathMin always sets it; the
 	// rules fall back to a package-shared pool when driven by hand.
@@ -182,10 +178,9 @@ func (c *treeCache) prepare(st *State, weightOf func(demand float64) pathfind.We
 			inc := pathfind.NewIncrementalKind(st.Inst.G, c.kind, sources, st.pool(), c.maxHops)
 			// Weights within a run only rise (flow only grows, and the
 			// residual filter only pushes edges to +Inf), so tables built
-			// from the run's first weights stay valid lower bounds. The
-			// policy knobs apply to every kind; additive caches take the
-			// ALT tables, bottleneck caches the minimax-carrying ones
-			// (SetOracle ignores the rest per kind). Builds go through the
+			// from the run's first weights stay valid lower bounds.
+			// Additive caches take the ALT tables, bottleneck caches the
+			// minimax-carrying ones. Builds go through the
 			// shared registry: a run on a topology another session or a
 			// mechanism probe already solved — at the same weight snapshot,
 			// which at zero flow is exactly the initial prices —
@@ -197,10 +192,8 @@ func (c *treeCache) prepare(st *State, weightOf func(demand float64) pathfind.We
 					c.kind == pathfind.KindBottleneck)
 			}
 			inc.SetOracle(pathfind.OracleConfig{
-				Landmarks:       lm,
-				Bidirectional:   st.Bidirectional,
-				PolicyWarmup:    st.PolicyWarmup,
-				PolicyCostRatio: st.PolicyCostRatio,
+				Landmarks:     lm,
+				Bidirectional: st.Bidirectional,
 			})
 			targets := make(map[int][]int)
 			// Restrict each slot's recorded edges to the paths its own
@@ -606,14 +599,6 @@ type EngineOptions struct {
 	// Bidirectional routes the caches' single-target misses through the
 	// bidirectional (forward+backward) probe; bit-identical answers.
 	Bidirectional bool
-	// PolicyWarmup tunes the adaptive refresh policy's warm-up demand
-	// count (see pathfind.OracleConfig.PolicyWarmup). Zero keeps
-	// pathfind.DefaultPolicyWarmup; negative means no warm-up.
-	PolicyWarmup int
-	// PolicyCostRatio tunes the adaptive policy's dirty-rate threshold
-	// (see pathfind.OracleConfig.PolicyCostRatio). Zero keeps
-	// pathfind.DefaultPolicyCostRatio; negative means zero.
-	PolicyCostRatio float64
 	// PathPool, if non-nil, supplies the scratch buffers for the rules'
 	// path queries (see Options.PathPool); nil uses a shared pool.
 	PathPool *pathfind.Pool
@@ -656,19 +641,17 @@ func iterativePathMin(ctx context.Context, inst *Instance, opt EngineOptions) (*
 		pool = sharedRulePool
 	}
 	st := &State{
-		Inst:            inst,
-		Flow:            make([]float64, inst.G.NumEdges()),
-		Eps:             opt.Eps,
-		B:               inst.B(),
-		FeasibleOnly:    opt.FeasibleOnly,
-		Workers:         workers,
-		NoIncremental:   opt.NoIncremental,
-		Adaptive:        opt.Adaptive,
-		Landmarks:       opt.Landmarks,
-		Bidirectional:   opt.Bidirectional,
-		PolicyWarmup:    opt.PolicyWarmup,
-		PolicyCostRatio: opt.PolicyCostRatio,
-		Pool:            pool,
+		Inst:          inst,
+		Flow:          make([]float64, inst.G.NumEdges()),
+		Eps:           opt.Eps,
+		B:             inst.B(),
+		FeasibleOnly:  opt.FeasibleOnly,
+		Workers:       workers,
+		NoIncremental: opt.NoIncremental,
+		Adaptive:      opt.Adaptive,
+		Landmarks:     opt.Landmarks,
+		Bidirectional: opt.Bidirectional,
+		Pool:          pool,
 	}
 	tie := opt.TieBreak
 	if tie == nil {

@@ -157,17 +157,6 @@ type Config struct {
 	// session.Config.IDPrefix). The shard router gives each backend a
 	// distinct prefix so a session id names its owning shard.
 	SessionIDPrefix string
-	// PolicyWarmup / PolicyCostRatio tune every session's adaptive
-	// refresh policy (see session.Config); zero keeps the pathfind
-	// defaults.
-	PolicyWarmup    int
-	PolicyCostRatio float64
-	// LandmarkStaleRatio tunes the sessions' landmark lifecycle: the
-	// prune-ratio threshold below which the oracle re-selects landmarks
-	// against current prices (see session.Config.LandmarkStaleRatio).
-	// Zero keeps pathfind.DefaultStalePruneRatio; negative disables
-	// prune-driven rebuilds.
-	LandmarkStaleRatio float64
 }
 
 // DefaultCacheSize is the result-cache capacity when Config.CacheSize is
@@ -281,13 +270,10 @@ func New(cfg Config) *Engine {
 		latencySec: metrics.NewHistogram(metrics.DefLatencyBuckets),
 	}
 	e.sessions = session.NewManager(session.Config{
-		MaxSessions:        cfg.MaxSessions,
-		TTL:                cfg.SessionTTL,
-		PathPool:           e.paths,
-		IDPrefix:           cfg.SessionIDPrefix,
-		PolicyWarmup:       cfg.PolicyWarmup,
-		PolicyCostRatio:    cfg.PolicyCostRatio,
-		LandmarkStaleRatio: cfg.LandmarkStaleRatio,
+		MaxSessions: cfg.MaxSessions,
+		TTL:         cfg.SessionTTL,
+		PathPool:    e.paths,
+		IDPrefix:    cfg.SessionIDPrefix,
 	})
 	if cfg.CacheSize > 0 {
 		e.cache = newLRUCache(cfg.CacheSize)

@@ -22,7 +22,7 @@ type bidiStats struct {
 //     scans an arc whose far end is settled by the other side, and
 //     whenever a vertex settled by both sides pops). At that point mu
 //     is the exact s-t distance — or +Inf, certifying unreachability.
-//  2. A fresh forward A* (shortestPathToPot) whose potential is the
+//  2. A fresh forward A* (the search kernel) whose potential is the
 //     backward search's exact distance for backward-settled vertices
 //     and the last backward pop key — a floor on every unsettled
 //     vertex's true remaining distance — otherwise, optionally
@@ -77,17 +77,8 @@ func bidiPathTo(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks, 
 					mu = c
 				}
 			}
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				e, to := csr.EdgeID[k], csr.Head[k]
-				fwd.relax(v, e, to, dv, weight)
-				if bwd.settled(to) {
-					if w := weight(int(e)); !math.IsInf(w, 1) {
-						if c := dv + w + bwd.dist[to]; c < mu {
-							mu = c
-						}
-					}
-				}
-			}
+			fwd.relax(csr, v, dv, weight)
+			mu = bridge(csr, v, dv, weight, bwd, mu)
 		} else {
 			v := bwd.pop()
 			dv := bwd.dist[v]
@@ -97,17 +88,8 @@ func bidiPathTo(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks, 
 					mu = c
 				}
 			}
-			for k, end := rcsr.Start[v], rcsr.Start[v+1]; k < end; k++ {
-				e, to := rcsr.EdgeID[k], rcsr.Head[k]
-				bwd.relax(v, e, to, dv, weight)
-				if fwd.settled(to) {
-					if w := weight(int(e)); !math.IsInf(w, 1) {
-						if c := dv + w + fwd.dist[to]; c < mu {
-							mu = c
-						}
-					}
-				}
-			}
+			bwd.relax(rcsr, v, dv, weight)
+			mu = bridge(rcsr, v, dv, weight, fwd, mu)
 		}
 	}
 	st.touched = len(fwd.order) + len(bwd.order)
@@ -122,10 +104,7 @@ func bidiPathTo(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks, 
 		return nil, inf, false, st
 	}
 	st.met = true
-	var lmpot func(int32) float64
-	if lm != nil && lm.K() > 0 {
-		lmpot = lm.potential(int32(dst))
-	}
+	lmpot := lm.potential(int32(dst))
 	pot := func(u int32) float64 {
 		p := bfloor
 		if bwd.settled(u) {
@@ -138,7 +117,7 @@ func bidiPathTo(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks, 
 		}
 		return p
 	}
-	path, dist, ok := fwd.shortestPathToPot(g, src, dst, weight, pot)
+	path, dist, ok := fwd.pathTo(g, KindAdditive, src, dst, weight, pot)
 	st.touched += len(fwd.order)
 	return path, dist, ok, st
 }
@@ -153,6 +132,22 @@ func bidiPathTo(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks, 
 func ShortestPathToBidi(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks, fwd, bwd *Scratch) ([]int, float64, bool) {
 	path, dist, ok, _ := bidiPathTo(g, src, dst, weight, lm, fwd, bwd)
 	return path, dist, ok
+}
+
+// bridge lowers mu, the best bridged path length, through every arc
+// out of v (over csr, at distance dv from its side's root) whose far
+// end the other side has settled.
+func bridge(csr *graph.CSR, v int32, dv float64, weight WeightFunc, other *Scratch, mu float64) float64 {
+	for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
+		if to := csr.Head[k]; other.settled(to) {
+			if w := weight(int(csr.EdgeID[k])); !math.IsInf(w, 1) {
+				if c := dv + w + other.dist[to]; c < mu {
+					mu = c
+				}
+			}
+		}
+	}
+	return mu
 }
 
 // settled reports whether v was settled (popped) by the scratch's

@@ -29,8 +29,8 @@
 //   - An adaptive refresh policy (Incremental.PreferSingle): per-slot
 //     observed dirty rates and target fan-out decide between rebuilding
 //     the slot's full tree and answering through the single-target
-//     oracle; either route yields identical paths, so the policy is a
-//     pure performance knob.
+//     oracle; either route yields identical paths, so the policy only
+//     moves work.
 //
 // Incremental.SetOracle installs the landmark tables and the
 // bidirectional mode on a cache's PathTo fast path; CacheStats reports
@@ -101,10 +101,10 @@ func (t *Tree) PathTo(dst int) ([]int, bool) {
 // constructions' adversarial tie-breaks (internal/lowerbound) coincide
 // with the oracle's, matching the paper's Theorem 3.11/3.12 runs.
 //
-// Dijkstra runs on the graph's frozen CSR adjacency when available
-// (see graph.Graph.Freeze) and falls back to the slice-of-slices
-// adjacency otherwise. Performance-sensitive callers should reuse a
-// Scratch (or a Pool) instead of this convenience entry point.
+// Dijkstra runs on the graph's CSR adjacency, freezing the graph first
+// if needed (see graph.Graph.Freeze). Performance-sensitive callers
+// should reuse a Scratch (or a Pool) instead of this convenience entry
+// point.
 func Dijkstra(g *graph.Graph, src int, weight WeightFunc) *Tree {
 	s := defaultPool.Get(g.NumVertices())
 	t := s.Dijkstra(g, src, weight, nil)

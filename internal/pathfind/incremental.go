@@ -93,32 +93,18 @@ type Incremental struct {
 	lmPending  []int32
 	bidi       bool
 
-	// Landmark lifecycle (the staleness policy, see OracleConfig): the
-	// cache watches the oracle's prune ratio over fixed-size windows of
-	// searches and rebuilds the tables against the current prices when a
-	// window's ratio falls below lmStaleRatio — monotone repricing makes
-	// any current snapshot a valid lower bound for the rest of the run.
-	// lmBarren counts consecutive rebuilds whose following window stayed
-	// below the threshold (a graph whose searches are inherently
-	// unprunable); at maxBarrenRebuilds the prune-driven trigger pauses
-	// until a window clears the threshold again. Violation-triggered
-	// rebuilds are budgeted separately by lmStaleViol.
-	lmStaleRatio   float64 // window prune-ratio rebuild threshold; < 0 disables
-	lmStaleViol    int     // violation-rebuild budget; < 0 restores disable-on-first
+	// Landmark lifecycle: a lower-bound violation rebuilds the tables
+	// against the current weights, up to DefaultStaleViolations times
+	// since SetOracle (see lmViolated).
 	onRebuild      func(seconds float64)
-	lmRebuilds     int64 // landmark table rebuilds (prune- or violation-triggered)
+	lmRebuilds     int64 // landmark table rebuilds (violation-triggered)
 	lmViolRebuilds int   // violation-triggered rebuilds since SetOracle
-	lmWinSearches  int64 // oracle searches in the current staleness window
-	lmWinTouched   int64 // vertices touched by those searches
-	lmWinBudget    int64 // vertices full tree builds would have touched
-	lmBarren       int
-	lmFromRebuild  bool // the current window is the first after a rebuild
 
 	// Per-slot adaptive-policy counters: how often the slot was demanded
 	// (Refresh-active or queried) and how often it was dirty when
 	// demanded. PreferSingle turns these into a refresh-policy decision
-	// against the cache's policy knobs (OracleConfig; defaults
-	// DefaultPolicyWarmup / DefaultPolicyCostRatio).
+	// against policyWarmup and policyCostRatio, which hold the package
+	// constants warmupDemands and singleCostRatio (tests override them).
 	slotDemand      []int64
 	slotDirty       []int64
 	policyWarmup    int64
@@ -186,8 +172,8 @@ func NewIncrementalKind(g *graph.Graph, kind TreeKind, sources []int, pool *Pool
 		pool:            pool,
 		slot:            make(map[int]int, len(sources)),
 		words:           (g.NumEdges() + 63) / 64,
-		policyWarmup:    DefaultPolicyWarmup,
-		policyCostRatio: DefaultPolicyCostRatio,
+		policyWarmup:    warmupDemands,
+		policyCostRatio: singleCostRatio,
 	}
 	for _, s := range sources {
 		if _, dup := inc.slot[s]; dup {
@@ -225,8 +211,9 @@ type OracleConfig struct {
 	// re-validates the bound lazily against invalidated edges and, if it
 	// is ever violated (counting CacheStats.LandmarkViolations), rebuilds
 	// the tables from the current weights — or self-disables once the
-	// StaleViolations budget is spent — so a contract slip degrades
-	// speed, not answers.
+	// DefaultStaleViolations budget is spent — so a contract slip
+	// degrades speed, not answers. Under the solvers' monotone prices no
+	// violation ever happens, so the tables are built once and kept.
 	Landmarks *Landmarks
 	// Bidirectional routes PathTo misses through the bidirectional
 	// probe (forward/backward meet plus a potential-guided forward
@@ -234,72 +221,24 @@ type OracleConfig struct {
 	// KindAdditive only. The graph's reverse adjacency is frozen as a
 	// side effect.
 	Bidirectional bool
-	// StalePruneRatio overrides the staleness policy's rebuild
-	// threshold: after each window of DefaultStaleWindow oracle
-	// searches, if the window's observed prune ratio (1 -
-	// touched/budget) fell below the threshold, the landmark tables are
-	// rebuilt against the current weights — restoring the pruning power
-	// the build-time snapshot has lost to monotone repricing. Zero keeps
-	// DefaultStalePruneRatio; a negative value disables prune-driven
-	// rebuilds.
-	StalePruneRatio float64
-	// StaleViolations overrides the violation-rebuild budget: how many
-	// lower-bound violations may trigger a rebuild (again safe — the
-	// violating weights become the new lower bound) before the oracle
-	// permanently self-disables instead. Zero keeps
-	// DefaultStaleViolations; a negative value restores the historical
-	// disable-on-first-violation behavior.
-	StaleViolations int
 	// OnRebuild, when non-nil, is called after every landmark rebuild
 	// with the rebuild's wall-clock duration in seconds — the serving
 	// stack's hook for monotone rebuild counters and latency histograms.
 	OnRebuild func(seconds float64)
-	// PolicyWarmup overrides the adaptive refresh policy's warm-up
-	// count: a slot's first PolicyWarmup demands always refresh the
-	// tree, because they carry no dirty-rate signal yet. Zero keeps
-	// DefaultPolicyWarmup; a negative value means no warm-up at all.
-	PolicyWarmup int
-	// PolicyCostRatio overrides the adaptive policy's dirty-rate
-	// threshold: past warm-up, a slot fanning out to f targets routes to
-	// single-target search once its observed dirty rate reaches
-	// PolicyCostRatio·f. Zero keeps DefaultPolicyCostRatio; a negative
-	// value means zero (every eligible post-warm-up slot routes to
-	// single-target search).
-	PolicyCostRatio float64
 }
 
-// SetOracle installs the single-target oracle configuration. The
-// policy and staleness knobs (PolicyWarmup, PolicyCostRatio,
-// StalePruneRatio, StaleViolations, OnRebuild) apply to every tree
-// kind; the oracle proper applies to the tree kinds — ALT landmarks
-// and/or bidirectional probes on KindAdditive, minimax-ALT landmarks
-// on KindBottleneck (a set without the minimax tables is ignored
-// there, as is Bidirectional, which has no bottleneck form).
-// KindHopBounded ignores everything but the policy knobs. Every oracle
-// path is bit-identical to the plain search and the policy only moves
-// work, so SetOracle never invalidates cached state and may be called
-// at any point between queries.
+// SetOracle installs the single-target oracle configuration on a
+// tree-kind cache — ALT landmarks and/or bidirectional probes on
+// KindAdditive, minimax-ALT landmarks on KindBottleneck (a set without
+// the minimax tables is ignored there, as is Bidirectional, which has
+// no bottleneck form). KindHopBounded ignores it. Every oracle path is
+// bit-identical to the plain search, so SetOracle never invalidates
+// cached state and may be called at any point between queries.
 func (inc *Incremental) SetOracle(cfg OracleConfig) {
-	inc.policyWarmup = DefaultPolicyWarmup
-	if cfg.PolicyWarmup != 0 {
-		inc.policyWarmup = int64(max(cfg.PolicyWarmup, 0))
-	}
-	inc.policyCostRatio = DefaultPolicyCostRatio
-	if cfg.PolicyCostRatio != 0 {
-		inc.policyCostRatio = math.Max(cfg.PolicyCostRatio, 0)
-	}
-	inc.lmStaleRatio = DefaultStalePruneRatio
-	if cfg.StalePruneRatio != 0 {
-		inc.lmStaleRatio = cfg.StalePruneRatio // negative: no prune-driven rebuilds
-	}
-	inc.lmStaleViol = DefaultStaleViolations
-	if cfg.StaleViolations != 0 {
-		inc.lmStaleViol = cfg.StaleViolations // negative: disable on first violation
-	}
-	inc.onRebuild = cfg.OnRebuild
 	if inc.kind == KindHopBounded {
 		return
 	}
+	inc.onRebuild = cfg.OnRebuild
 	lm := cfg.Landmarks
 	if inc.kind == KindBottleneck && lm != nil && !lm.HasBottleneck() {
 		lm = nil // bottleneck goal-direction needs the minimax tables
@@ -311,9 +250,6 @@ func (inc *Incremental) SetOracle(cfg OracleConfig) {
 	inc.lmOK = lm != nil
 	inc.lmCheckAll = false
 	inc.lmPending = inc.lmPending[:0]
-	inc.resetLmWindow()
-	inc.lmBarren = 0
-	inc.lmFromRebuild = false
 	inc.lmViolRebuilds = 0
 	inc.bidi = cfg.Bidirectional && inc.kind == KindAdditive
 	if inc.bidi {
@@ -652,25 +588,16 @@ func (inc *Incremental) PathTo(slot, target int, weight WeightFunc) ([]int, floa
 	inc.slotDirty[slot]++
 	n := inc.g.NumVertices()
 	sc := inc.pool.Get(n)
+	var lm *Landmarks // nil: the search runs unpruned
+	if inc.lmUsable(weight) {
+		lm = inc.lm
+	}
 	var path []int
 	var dist float64
 	var ok bool
+	touched := 0
 	switch {
-	case inc.kind == KindBottleneck:
-		if inc.lmUsable(weight) {
-			path, dist, ok = sc.BottleneckPathToALT(inc.g, inc.sources[slot], target, weight, inc.lm)
-			inc.altSearches++
-			inc.altTouched += int64(sc.Touched())
-			inc.altBudget += int64(n)
-			inc.noteOracleSearch(sc.Touched(), n, weight)
-		} else {
-			path, dist, ok = sc.BottleneckPathTo(inc.g, inc.sources[slot], target, weight)
-		}
 	case inc.bidi:
-		var lm *Landmarks
-		if inc.lmUsable(weight) {
-			lm = inc.lm
-		}
 		sc2 := inc.pool.Get(n)
 		var bst bidiStats
 		path, dist, ok, bst = bidiPathTo(inc.g, inc.sources[slot], target, weight, lm, sc, sc2)
@@ -679,20 +606,18 @@ func (inc *Incremental) PathTo(slot, target int, weight WeightFunc) ([]int, floa
 		if bst.met {
 			inc.bidiMeets++
 		}
-		inc.altSearches++
-		inc.altTouched += int64(bst.touched)
-		inc.altBudget += int64(n)
-		if lm != nil {
-			inc.noteOracleSearch(bst.touched, n, weight)
-		}
-	case inc.lmUsable(weight):
-		path, dist, ok = sc.ShortestPathToALT(inc.g, inc.sources[slot], target, weight, inc.lm)
-		inc.altSearches++
-		inc.altTouched += int64(sc.Touched())
-		inc.altBudget += int64(n)
-		inc.noteOracleSearch(sc.Touched(), n, weight)
+		touched = bst.touched
+	case inc.kind == KindBottleneck:
+		path, dist, ok = sc.BottleneckPathToALT(inc.g, inc.sources[slot], target, weight, lm)
+		touched = sc.Touched()
 	default:
-		path, dist, ok = sc.ShortestPathTo(inc.g, inc.sources[slot], target, weight)
+		path, dist, ok = sc.ShortestPathToALT(inc.g, inc.sources[slot], target, weight, lm)
+		touched = sc.Touched()
+	}
+	if inc.bidi || lm != nil {
+		inc.altSearches++
+		inc.altTouched += int64(touched)
+		inc.altBudget += int64(n)
 	}
 	inc.pool.Put(sc)
 	inc.recomputed++
@@ -735,15 +660,14 @@ func (inc *Incremental) lmUsable(weight WeightFunc) bool {
 }
 
 // lmViolated reacts to a lower-bound violation. Within the
-// StaleViolations budget the tables are rebuilt against the current
-// weights — trivially a valid lower bound of themselves, so the oracle
-// stays usable and the violation costs one table build; past the
-// budget (or with a negative budget) the tables are permanently
-// disabled, the historical fail-safe. Either way the violation is
-// counted.
+// DefaultStaleViolations budget the tables are rebuilt against the
+// current weights — trivially a valid lower bound of themselves, so the
+// oracle stays usable and the violation costs one table build; past the
+// budget the tables are permanently disabled. Either way the violation
+// is counted.
 func (inc *Incremental) lmViolated(weight WeightFunc) bool {
 	inc.lmViolations++
-	if inc.lmStaleViol >= 0 && inc.lmViolRebuilds < inc.lmStaleViol {
+	if inc.lmViolRebuilds < DefaultStaleViolations {
 		inc.lmViolRebuilds++
 		inc.rebuildLandmarks(weight)
 		return true
@@ -755,8 +679,8 @@ func (inc *Incremental) lmViolated(weight WeightFunc) bool {
 // rebuildLandmarks re-selects and rebuilds the landmark tables against
 // the current weight snapshot (Landmarks.Rebuild — minimax tables
 // included iff the old set had them), clears the pending bound checks
-// (the new lower bound is the current weights), resets the staleness
-// window, and reports the rebuild to the OnRebuild hook.
+// (the new lower bound is the current weights), and reports the
+// rebuild to the OnRebuild hook.
 func (inc *Incremental) rebuildLandmarks(weight WeightFunc) {
 	start := time.Now()
 	inc.lm = inc.lm.Rebuild(inc.g, weight)
@@ -764,46 +688,9 @@ func (inc *Incremental) rebuildLandmarks(weight WeightFunc) {
 	inc.lmCheckAll = false
 	inc.lmPending = inc.lmPending[:0]
 	inc.lmRebuilds++
-	inc.lmFromRebuild = true
-	inc.resetLmWindow()
 	if inc.onRebuild != nil {
 		inc.onRebuild(time.Since(start).Seconds())
 	}
-}
-
-// noteOracleSearch feeds one landmark-pruned search into the staleness
-// window and, at each window boundary, applies the rebuild policy (see
-// OracleConfig.StalePruneRatio).
-func (inc *Incremental) noteOracleSearch(touched, budget int, weight WeightFunc) {
-	if inc.lmStaleRatio < 0 || inc.lm == nil || !inc.lmOK {
-		return
-	}
-	inc.lmWinSearches++
-	inc.lmWinTouched += int64(touched)
-	inc.lmWinBudget += int64(budget)
-	if inc.lmWinSearches < DefaultStaleWindow {
-		return
-	}
-	below := false
-	if inc.lmWinBudget > 0 {
-		below = 1-float64(inc.lmWinTouched)/float64(inc.lmWinBudget) < inc.lmStaleRatio
-	}
-	first := inc.lmFromRebuild
-	inc.lmFromRebuild = false
-	if !below {
-		inc.lmBarren = 0 // a clearing window re-arms the prune trigger
-	} else if first {
-		inc.lmBarren++ // the rebuild didn't restore pruning power
-	}
-	inc.resetLmWindow()
-	if below && inc.lmBarren < maxBarrenRebuilds {
-		inc.rebuildLandmarks(weight)
-	}
-}
-
-// resetLmWindow restarts the staleness window.
-func (inc *Incremental) resetLmWindow() {
-	inc.lmWinSearches, inc.lmWinTouched, inc.lmWinBudget = 0, 0, 0
 }
 
 // storePath caches a single-target answer in the slot's entry list:
@@ -847,36 +734,25 @@ func (inc *Incremental) Stats() (recomputed, reused int64) {
 	return inc.recomputed, inc.reused
 }
 
-// Adaptive-policy tuning defaults (overridable per cache through
-// OracleConfig). A slot's first DefaultPolicyWarmup demands carry no
-// signal, so they default to tree refreshes (the historical behavior);
-// after that the slot routes to single-target search when its observed
-// dirty rate exceeds DefaultPolicyCostRatio per queried target — the
-// point at which rebuilding a whole tree at the observed rate costs
-// more than answering each target with a pruned early-exit search (an
-// oracle search touches roughly a quarter of the graph or less, hence
-// the ratio).
+// Adaptive-policy constants. A slot's first warmupDemands demands
+// carry no signal, so they refresh the tree; after that the slot routes
+// to single-target search when its observed dirty rate exceeds
+// singleCostRatio per queried target — the point at which rebuilding a
+// whole tree at the observed rate costs more than answering each target
+// with a pruned early-exit search (an oracle search touches roughly a
+// quarter of the graph or less, hence the ratio).
 const (
-	DefaultPolicyWarmup    = 4
-	DefaultPolicyCostRatio = 0.25
+	warmupDemands   = 4
+	singleCostRatio = 0.25
 )
 
-// Landmark staleness-policy defaults (overridable per cache through
-// OracleConfig). The window is small enough that a long-lived session
-// notices decay within tens of admits but large enough that one
-// unlucky search cannot trigger a rebuild; the default threshold
-// rebuilds once pruning saves less than a fifth of the full-tree work
-// — the regime where the oracle is barely paying for its bound
-// evaluations. A rebuild costs one or two Dijkstras per landmark, so a
-// barren-graph guard stops prune-driven rebuilds after
-// maxBarrenRebuilds consecutive rebuilds that failed to lift the next
-// window back over the threshold.
-const (
-	DefaultStaleWindow     = 32
-	DefaultStalePruneRatio = 0.2
-	DefaultStaleViolations = 4
-	maxBarrenRebuilds      = 2
-)
+// DefaultStaleViolations is the landmark violation-rebuild budget: how
+// many lower-bound violations may rebuild the tables (safe — the
+// violating weights become the new lower bound) before the oracle
+// permanently self-disables instead. Monotone prices never violate the
+// bound, so the budget is the recovery path for a broken contract, not
+// a tuning knob.
+const DefaultStaleViolations = 4
 
 // PreferSingle is the adaptive refresh policy: it reports whether a
 // slot currently fanning out to fanout distinct targets should be
@@ -955,10 +831,11 @@ type CacheStats struct {
 	PolicySingle int64
 	// LandmarkViolations counts lower-bound violations (zero under the
 	// solvers' monotone-price contract); each one either triggered a
-	// rebuild or, past the StaleViolations budget, disabled the tables.
+	// rebuild or, past the DefaultStaleViolations budget, disabled the
+	// tables.
 	LandmarkViolations int64
-	// LandmarkRebuilds counts landmark table rebuilds — prune-ratio- or
-	// violation-triggered (see OracleConfig.StalePruneRatio).
+	// LandmarkRebuilds counts landmark table rebuilds, all of them
+	// violation-triggered (so also zero under monotone prices).
 	LandmarkRebuilds int64
 }
 

@@ -101,11 +101,11 @@ func BuildLandmarks(g *graph.Graph, k int, weight WeightFunc) *Landmarks {
 	for len(lm.ids) < k && best >= 0 {
 		lm.ids = append(lm.ids, int32(best))
 		isLandmark[best] = true
-		s.runAdditiveCSR(csr, n, int32(best), lbw)
+		s.search(csr, KindAdditive, int32(best), -1, lbw, nil)
 		f := snapshotDist(s, n)
 		lm.fwd = append(lm.fwd, f)
 		if g.Directed() {
-			s.runAdditiveCSR(rcsr, n, int32(best), lbw)
+			s.search(rcsr, KindAdditive, int32(best), -1, lbw, nil)
 			lm.bwd = append(lm.bwd, snapshotDist(s, n))
 		} else {
 			lm.bwd = append(lm.bwd, f) // symmetric distances
@@ -136,8 +136,9 @@ func BuildLandmarks(g *graph.Graph, k int, weight WeightFunc) *Landmarks {
 // raising weights can only raise minimax distances, so the bounds stay
 // admissible for the whole run exactly like the additive ones. Must be
 // called before lm is shared across goroutines (it mutates lm). Cost:
-// one or two scalar minimax Dijkstras per landmark. No-op when called
-// twice or when no landmarks were selected.
+// one or two full leximax runs per landmark, whose dist is exactly the
+// minimax value. No-op when called twice or when no landmarks were
+// selected.
 func (lm *Landmarks) WithBottleneck(g *graph.Graph) *Landmarks {
 	if lm.bfwd != nil || len(lm.ids) == 0 {
 		return lm
@@ -151,11 +152,11 @@ func (lm *Landmarks) WithBottleneck(g *graph.Graph) *Landmarks {
 	lbw := FromSlice(lm.lb)
 	s := NewScratch(n)
 	for _, id := range lm.ids {
-		s.runMinimaxCSR(csr, n, id, lbw)
+		s.search(csr, KindBottleneck, id, -1, lbw, nil)
 		f := snapshotDist(s, n)
 		lm.bfwd = append(lm.bfwd, f)
 		if g.Directed() {
-			s.runMinimaxCSR(rcsr, n, id, lbw)
+			s.search(rcsr, KindBottleneck, id, -1, lbw, nil)
 			lm.bbwd = append(lm.bbwd, snapshotDist(s, n))
 		} else {
 			lm.bbwd = append(lm.bbwd, f) // symmetric minimax distances
@@ -213,8 +214,13 @@ func snapshotDist(s *Scratch, n int) []float64 {
 	return d
 }
 
-// K returns the number of landmarks actually selected.
-func (lm *Landmarks) K() int { return len(lm.ids) }
+// K returns the number of landmarks actually selected (0 for a nil set).
+func (lm *Landmarks) K() int {
+	if lm == nil {
+		return 0
+	}
+	return len(lm.ids)
+}
 
 // IDs returns the landmark vertex IDs. Callers must not modify the
 // returned slice.
@@ -226,37 +232,28 @@ func (lm *Landmarks) IDs() []int32 { return lm.ids }
 func (lm *Landmarks) LowerBoundWeight(e int) float64 { return lm.lb[e] }
 
 // Bound returns the landmark lower bound on the distance from u to t
-// under any weight function >= the build-time lower bound. +Inf means
+// under any weight function >= the build-time lower bound: the ALT
+// potential toward t that the search runs, evaluated at u. +Inf means
 // provably unreachable (the bound certifies there is no u->t path at
 // all — reachability is topological, since the build weights are
-// finite on every edge).
+// finite on every edge). An empty set bounds nothing and returns 0.
 func (lm *Landmarks) Bound(u, t int) float64 {
-	if u == t {
+	if lm.K() == 0 {
 		return 0
 	}
-	inf := math.Inf(1)
-	best := 0.0
-	for i := range lm.ids {
-		if fu, ft := lm.fwd[i][u], lm.fwd[i][t]; fu < inf && ft > fu {
-			if d := ft - fu; d > best {
-				best = d
-			}
-		}
-		if bu, bt := lm.bwd[i][u], lm.bwd[i][t]; bt < inf && bu > bt {
-			if d := bu - bt; d > best {
-				best = d
-			}
-		}
-	}
-	return best
+	return lm.potential(int32(t))(int32(u))
 }
 
 // potential returns the ALT potential toward target t: a consistent
 // lower bound on each vertex's remaining distance to t, with
 // potential(t) == 0. The per-landmark t-columns are gathered once so
 // the per-vertex evaluation inside the search is k subtractions over
-// dense rows.
+// dense rows. A nil or empty set has no potential (nil), which the
+// search runs as the plain early-exit search.
 func (lm *Landmarks) potential(t int32) func(int32) float64 {
+	if lm.K() == 0 {
+		return nil
+	}
 	k := len(lm.ids)
 	inf := math.Inf(1)
 	ft := make([]float64, k)
@@ -298,8 +295,11 @@ func (lm *Landmarks) potential(t int32) func(int32) float64 {
 // what BottleneckPathToALT needs for exact early termination. Unlike
 // the additive potential no float slack is involved — max() never
 // creates new values, so the comparison against the true distance is
-// exact.
+// exact. A set without minimax tables has no potential (nil).
 func (lm *Landmarks) bottleneckPotential(t int32) func(int32) float64 {
+	if lm.K() == 0 || !lm.HasBottleneck() {
+		return nil
+	}
 	k := len(lm.ids)
 	ft := make([]float64, k)
 	bt := make([]float64, k)

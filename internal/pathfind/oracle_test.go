@@ -178,110 +178,40 @@ func TestOracleRebuildsOnBoundViolation(t *testing.T) {
 	}
 }
 
-// TestOracleDisablesOnViolationPastBudget: a negative StaleViolations
-// restores the historical behavior — the first violation disables the
-// tables instead of rebuilding — and a zero budget defaults to
-// DefaultStaleViolations rebuilds before disabling.
+// TestOracleDisablesOnViolationPastBudget: violations rebuild the
+// tables, each rebuild reaching the OnRebuild hook, until the
+// DefaultStaleViolations budget runs out; the next violation disables
+// the tables for good. Answers match the plain search throughout.
 func TestOracleDisablesOnViolationPastBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	g := graph.RandomStronglyConnected(rng, 20, 60, 1, 2)
-	w := plateauWeights(rng, g.NumEdges())
 	inc := NewIncremental(g, []int{0}, nil)
+	w := plateauWeights(rng, g.NumEdges())
+	var hookCalls int64
 	inc.SetOracle(OracleConfig{
-		Landmarks:       BuildLandmarks(g, 3, FromSlice(w)),
-		StaleViolations: -1,
+		Landmarks: BuildLandmarks(g, 3, FromSlice(w)),
+		OnRebuild: func(float64) { hookCalls++ },
 	})
-	inc.PathTo(0, g.NumVertices()-1, FromSlice(w))
-	w[0] /= 4
-	inc.Invalidate([]int{0})
-	for dst := 0; dst < g.NumVertices(); dst++ {
-		inc.PathTo(0, dst, FromSlice(w))
-	}
-	st := inc.CacheStats()
-	if st.LandmarkViolations != 1 || st.LandmarkRebuilds != 0 {
-		t.Fatalf("negative budget must disable without rebuilding: %+v", st)
-	}
-	if inc.lmOK {
-		t.Fatal("tables still enabled after budget-less violation")
-	}
-
-	// Default budget: violations rebuild until the budget runs out, then
-	// the tables disable for good.
-	inc2 := NewIncremental(g, []int{0}, nil)
-	w2 := plateauWeights(rng, g.NumEdges())
-	inc2.SetOracle(OracleConfig{Landmarks: BuildLandmarks(g, 3, FromSlice(w2))})
 	sc := NewScratch(g.NumVertices())
 	for i := 0; i <= DefaultStaleViolations; i++ {
 		dst := (i + 1) % g.NumVertices()
-		w2[i] /= 4 // violate one build-time bound per round
-		inc2.Invalidate([]int{i})
-		wantPath, wantDist, wantOK := sc.ShortestPathTo(g, 0, dst, FromSlice(w2))
-		path, dist, ok := inc2.PathTo(0, dst, FromSlice(w2))
+		w[i] /= 4 // violate one build-time bound per round
+		inc.Invalidate([]int{i})
+		wantPath, wantDist, wantOK := sc.ShortestPathTo(g, 0, dst, FromSlice(w))
+		path, dist, ok := inc.PathTo(0, dst, FromSlice(w))
 		if ok != wantOK || dist != wantDist || !reflect.DeepEqual(path, wantPath) {
 			t.Fatalf("round %d: answer diverged", i)
 		}
 	}
-	st2 := inc2.CacheStats()
-	if st2.LandmarkRebuilds != int64(DefaultStaleViolations) {
-		t.Fatalf("want %d violation rebuilds, got %+v", DefaultStaleViolations, st2)
-	}
-	if inc2.lmOK {
-		t.Fatal("tables must disable once the violation budget is spent")
-	}
-}
-
-// TestOracleStalenessRebuild: an aggressive StalePruneRatio forces a
-// staleness rebuild after one observation window, the rebuild counter
-// advances, the OnRebuild hook observes it, and answers stay identical
-// to an oracle-less twin throughout.
-func TestOracleStalenessRebuild(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 19))
-	g := graph.RandomStronglyConnected(rng, 40, 140, 1, 2)
-	w := plateauWeights(rng, g.NumEdges())
-	plain := NewIncremental(g, []int{0}, nil)
-	inc := NewIncremental(g, []int{0}, nil)
-	var hookCalls int
-	inc.SetOracle(OracleConfig{
-		Landmarks:       BuildLandmarks(g, 4, FromSlice(w)),
-		StalePruneRatio: 0.999, // essentially every window is "stale"
-		OnRebuild:       func(_ float64) { hookCalls++ },
-	})
-	for round := 0; round < 3*DefaultStaleWindow; round++ {
-		dst := rng.IntN(g.NumVertices())
-		p1, d1, ok1 := plain.PathTo(0, dst, FromSlice(w))
-		p2, d2, ok2 := inc.PathTo(0, dst, FromSlice(w))
-		if ok1 != ok2 || d1 != d2 || !reflect.DeepEqual(p1, p2) {
-			t.Fatalf("round %d dst %d: rebuilt oracle diverged", round, dst)
-		}
-		touched := monotoneBump(rng, w)
-		plain.Invalidate(touched)
-		inc.Invalidate(touched)
-	}
 	st := inc.CacheStats()
-	if st.LandmarkRebuilds == 0 {
-		t.Fatalf("aggressive threshold never rebuilt: %+v", st)
+	if st.LandmarkRebuilds != int64(DefaultStaleViolations) {
+		t.Fatalf("want %d violation rebuilds, got %+v", DefaultStaleViolations, st)
 	}
-	if int64(hookCalls) != st.LandmarkRebuilds {
+	if hookCalls != st.LandmarkRebuilds {
 		t.Fatalf("OnRebuild saw %d calls, counter says %d", hookCalls, st.LandmarkRebuilds)
 	}
-	// The barren guard caps back-to-back fruitless rebuilds: with an
-	// unattainable threshold the rebuild count stays far below one per
-	// window.
-	if st.LandmarkRebuilds > int64(maxBarrenRebuilds)+1 {
-		t.Fatalf("barren guard failed to cap rebuilds: %+v", st)
-	}
-
-	// A negative threshold disables staleness rebuilds entirely.
-	inc2 := NewIncremental(g, []int{0}, nil)
-	inc2.SetOracle(OracleConfig{
-		Landmarks:       BuildLandmarks(g, 4, FromSlice(w)),
-		StalePruneRatio: -1,
-	})
-	for round := 0; round < 2*DefaultStaleWindow; round++ {
-		inc2.PathTo(0, rng.IntN(g.NumVertices()), FromSlice(w))
-	}
-	if st := inc2.CacheStats(); st.LandmarkRebuilds != 0 {
-		t.Fatalf("negative threshold must never rebuild: %+v", st)
+	if inc.lmOK {
+		t.Fatal("tables must disable once the violation budget is spent")
 	}
 }
 
@@ -350,10 +280,9 @@ func TestPreferSinglePolicy(t *testing.T) {
 	}
 }
 
-// TestPolicyKnobs: OracleConfig's PolicyWarmup / PolicyCostRatio move
-// the adaptive policy's decisions, zero values keep the defaults, and
-// the knobs apply to non-additive caches too (they sit before
-// SetOracle's KindAdditive early return).
+// TestPolicyKnobs: the adaptive policy's warm-up and cost ratio move
+// its decisions, and apply to every tree kind. The tuning values are
+// package constants; the test overrides the cache's copies in-package.
 func TestPolicyKnobs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	g := graph.RandomStronglyConnected(rng, 20, 60, 1, 2)
@@ -364,31 +293,76 @@ func TestPolicyKnobs(t *testing.T) {
 		if !inc.preferSingle(0, 2) {
 			t.Fatalf("%v: always-dirty slot must route single under defaults", kind)
 		}
-		inc.SetOracle(OracleConfig{PolicyWarmup: 20})
+		inc.policyWarmup = 20
 		if inc.preferSingle(0, 2) {
 			t.Fatalf("%v: raised warm-up must keep the slot on trees", kind)
 		}
-		inc.SetOracle(OracleConfig{PolicyWarmup: -1})
+		inc.policyWarmup = 0
 		if !inc.preferSingle(0, 2) {
 			t.Fatalf("%v: disabled warm-up must route single", kind)
 		}
 		inc.slotDirty[0] = 0 // rate 0: only a zero threshold routes single
-		inc.SetOracle(OracleConfig{})
+		inc.policyWarmup, inc.policyCostRatio = warmupDemands, singleCostRatio
 		if inc.preferSingle(0, 2) {
-			t.Fatalf("%v: zero config must restore the default ratio", kind)
+			t.Fatalf("%v: default ratio must keep a clean slot on trees", kind)
 		}
-		inc.SetOracle(OracleConfig{PolicyCostRatio: -1})
+		inc.policyCostRatio = 0
 		if !inc.preferSingle(0, 2) {
 			t.Fatalf("%v: zeroed cost ratio must route every eligible slot single", kind)
 		}
 		inc.slotDirty[0] = 3 // rate 0.3: between 0.1·2 and the default 0.25·2
-		inc.SetOracle(OracleConfig{PolicyCostRatio: 0.1})
+		inc.policyCostRatio = 0.1
 		if !inc.preferSingle(0, 2) {
 			t.Fatalf("%v: lowered cost ratio must route single at rate 0.3", kind)
 		}
-		inc.SetOracle(OracleConfig{PolicyCostRatio: DefaultPolicyCostRatio})
+		inc.policyCostRatio = singleCostRatio
 		if inc.preferSingle(0, 2) {
 			t.Fatalf("%v: default cost ratio must keep rate 0.3 on trees", kind)
+		}
+	}
+
+	// Answers never depend on the policy: a solver-style loop routing
+	// each round by PreferSingle reads the full-tree answers at both
+	// extremes (every round single-target; every round a tree refresh).
+	for _, kind := range []TreeKind{KindAdditive, KindBottleneck} {
+		for _, eager := range []bool{true, false} {
+			w := plateauWeights(rng, g.NumEdges())
+			inc := NewIncrementalKind(g, kind, []int{0}, nil, 0)
+			inc.policyWarmup, inc.policyCostRatio = 0, 0
+			if !eager {
+				inc.policyWarmup = 1 << 30
+			}
+			sc := NewScratch(g.NumVertices())
+			for round := 0; round < 12; round++ {
+				targets := []int{5, 11}
+				single := inc.PreferSingle(0, len(targets))
+				if single != eager {
+					t.Fatalf("%v eager=%v round %d: policy routed single=%v", kind, eager, round, single)
+				}
+				if !single {
+					inc.Refresh([]int{0}, FromSlice(w), 1)
+				}
+				ref := sc.Dijkstra(g, 0, FromSlice(w), nil)
+				if kind == KindBottleneck {
+					ref = sc.Bottleneck(g, 0, FromSlice(w), nil)
+				}
+				for _, dst := range targets {
+					var path []int
+					var dist float64
+					var ok bool
+					if single {
+						path, dist, ok = inc.PathTo(0, dst, FromSlice(w))
+					} else {
+						path, ok = inc.Tree(0).PathTo(dst)
+						dist = inc.Tree(0).Dist[dst]
+					}
+					wantPath, wantOK := ref.PathTo(dst)
+					if ok != wantOK || dist != ref.Dist[dst] || !reflect.DeepEqual(path, wantPath) {
+						t.Fatalf("%v eager=%v round %d dst %d: answer diverged", kind, eager, round, dst)
+					}
+				}
+				inc.Invalidate(monotoneBump(rng, w))
+			}
 		}
 	}
 }

@@ -27,10 +27,11 @@ import (
 // Entries are kept in most-recently-used order and the least recently
 // used is evicted past the capacity.
 //
-// Staleness rebuilds (Incremental's lifecycle policy) bypass the
-// registry on purpose: a rebuilt set is bound to one session's private
-// price trajectory, which no other session will ever fingerprint-match,
-// so caching it would only churn the LRU.
+// Violation rebuilds (Incremental's recovery path when a weight falls
+// below its recorded bound) bypass the registry on purpose: a rebuilt
+// set is bound to one session's private price trajectory, which no
+// other session will ever fingerprint-match, so caching it would only
+// churn the LRU.
 type LandmarkRegistry struct {
 	mu      sync.Mutex
 	entries []*registryEntry // most-recently-used first

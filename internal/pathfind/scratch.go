@@ -31,12 +31,13 @@ type Scratch struct {
 	keys [][]float64
 	cand []float64
 	lex  bool // this run orders the heap by leximax keys, not dist alone
-	// A*-mode state (see shortestPathToPot): pi[v] is v's potential for
-	// this run and fsc[v] = dist[v] + pi[v] the heap key. Potentials are
-	// fixed per vertex per run, so fsc only changes when dist does.
-	pi    []float64
-	fsc   []float64
-	astar bool // this run orders the heap by fsc, not dist
+	// A*-mode state (see search): pot is the run's potential (nil outside
+	// A* runs), pi[v] = pot(v) and fsc[v] = dist[v] + pi[v] (leximax:
+	// max(dist[v], pi[v])) the heap key. Potentials are fixed per vertex
+	// per run, so fsc only changes when dist does.
+	pot func(int32) float64
+	pi  []float64
+	fsc []float64
 }
 
 // NewScratch returns a Scratch sized for graphs with up to n vertices;
@@ -81,7 +82,7 @@ func (s *Scratch) reset(n int) {
 	s.order = s.order[:0]
 	s.heap = s.heap[:0]
 	s.lex = false
-	s.astar = false
+	s.pot = nil
 }
 
 // touch marks v visited this generation and records it for
@@ -91,113 +92,148 @@ func (s *Scratch) touch(v int32) {
 	s.order = append(s.order, v)
 }
 
-// Dijkstra runs shortest paths from src under nonnegative weights,
-// reusing the scratch's buffers, and materializes the result into t
-// (allocated when nil). Semantics match the package-level Dijkstra —
-// including the canonical largest-edge-ID tie-break — with zero
-// steady-state allocation when t is reused.
-func (s *Scratch) Dijkstra(g *graph.Graph, src int, weight WeightFunc, t *Tree) *Tree {
-	n := g.NumVertices()
-	s.reset(n)
-	s.touch(int32(src))
+// search is the one search kernel behind every Scratch entry point:
+// Dijkstra from src over csr (the forward or the reverse adjacency)
+// under weight, leaving the run in the scratch state (dist/prevE/prevV
+// over s.order). Its three parameters are
+//
+//   - the combine op, by kind: KindAdditive sums arc weights;
+//     KindBottleneck orders paths by their leximax key (see Bottleneck),
+//     dist holding the key's first element, the minimax value;
+//   - an optional potential pot (nil for none), turning the run into A*
+//     ordered by f = dist + pot (additive) or f = max(dist, pot)
+//     (leximax), with ties broken by dist and then by the full key (see
+//     less);
+//   - an optional target dst (negative for none, which exhausts the
+//     heap and yields a full tree).
+//
+// With a target the stop rule is the combine op's. Additive: once dst
+// has popped, the run stops at the first pop whose heap key exceeds
+// dist[dst] — dist[dst]·(1+altSlack) under a potential — because every
+// relaxation that can reach or tie dst's distance is then done.
+// Leximax: the run stops the moment dst pops, because appending an arc
+// strictly grows a key, so every predecessor and every tie source of
+// dst's canonical path orders before dst. Either way the answer is
+// bit-identical to reading dst off the full tree. search reports
+// whether dst was settled.
+func (s *Scratch) search(csr *graph.CSR, kind TreeKind, src, dst int32, weight WeightFunc, pot func(int32) float64) bool {
+	s.reset(len(csr.Start) - 1)
+	s.lex, s.pot = kind == KindBottleneck, pot
+	s.touch(src)
 	s.dist[src] = 0
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(int32(src))
-	if csr := g.Frozen(); csr != nil {
-		for len(s.heap) > 0 {
-			v := s.pop()
-			dv := s.dist[v]
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				s.relax(v, csr.EdgeID[k], csr.Head[k], dv, weight)
-			}
-		}
-	} else {
-		for len(s.heap) > 0 {
-			v := s.pop()
-			dv := s.dist[v]
-			for _, a := range g.OutArcs(int(v)) {
-				s.relax(v, int32(a.Edge), int32(a.To), dv, weight)
-			}
-		}
+	if s.lex {
+		s.dist[src] = math.Inf(-1) // the empty path has no edges: -Inf max
+		s.keys[src] = s.keys[src][:0]
 	}
-	return s.fill(t, src, n)
+	if pot != nil {
+		s.pi[src] = pot(src)
+		s.fsc[src] = s.pi[src]
+	}
+	s.prevE[src], s.prevV[src] = -1, -1
+	s.push(src)
+	found := false
+	var bound float64
+	for len(s.heap) > 0 {
+		v := s.pop()
+		if found && s.key(v) > bound {
+			break // every key that can reach or tie dist[dst] is settled
+		}
+		dv := s.dist[v]
+		if v == dst {
+			found = true
+			if s.lex {
+				break
+			}
+			bound = dv
+			if pot != nil {
+				bound *= 1 + altSlack
+			}
+		}
+		s.relax(csr, v, dv, weight)
+	}
+	s.pot = nil // keep no potential (nor the tables it reads) alive in a pooled scratch
+	return found
 }
 
-// relax processes one arc v -(e)-> to with dv = dist[v]. Ties on the
-// final distance keep the largest edge ID (see Dijkstra).
-func (s *Scratch) relax(v, e, to int32, dv float64, weight WeightFunc) {
-	w := weight(int(e))
-	if math.IsInf(w, 1) {
-		return
-	}
-	nd := dv + w
-	if s.stamp[to] != s.gen {
-		s.touch(to)
-		s.dist[to] = nd
-		s.prevE[to], s.prevV[to] = e, v
-		s.push(to)
-		return
-	}
-	switch d := s.dist[to]; {
-	case nd < d:
-		s.dist[to] = nd
-		s.prevE[to], s.prevV[to] = e, v
-		s.decrease(to)
-	case nd == d && e > s.prevE[to]:
-		s.prevE[to], s.prevV[to] = e, v
+// relax relaxes every arc v -(e)-> to out of a settled v, with
+// dv = dist[v], under the run's combine op: the candidate label is
+// dv + w, or the leximax key keys[v] ∪ {w} with maximum max(dv, w). A
+// better candidate replaces to's label; a tie on the final label (the
+// distance, or the full key) retargets to the larger edge ID — the
+// canonical tie-break every kind shares. In A* runs, to's potential is
+// evaluated once, on first touch, and the heap key fsc follows every
+// label change. The scalar screen comes first, so the common arc — a
+// candidate already worse than to's label — costs one weight call and
+// one comparison, and full-key work runs only on minimax ties and
+// improvements. A run's slices do not grow while it runs, so the loop
+// reads them through locals.
+func (s *Scratch) relax(csr *graph.CSR, v int32, dv float64, weight WeightFunc) {
+	stamp, dist, prevE, gen, lex := s.stamp, s.dist, s.prevE, s.gen, s.lex
+	lo, hi := csr.Start[v], csr.Start[v+1]
+	ids := csr.EdgeID[lo:hi]
+	for k, to := range csr.Head[lo:hi] {
+		e := ids[k]
+		w := weight(int(e))
+		if math.IsInf(w, 1) {
+			continue
+		}
+		nd := dv + w
+		if lex {
+			nd = max(dv, w)
+		}
+		fresh := stamp[to] != gen
+		if !fresh && nd > dist[to] {
+			continue
+		}
+		if lex {
+			s.candidate(v, w)
+		}
+		if fresh {
+			s.touch(to)
+			if s.pot != nil {
+				s.pi[to] = s.pot(to)
+			}
+		} else if nd == dist[to] && !(lex && lexLess(s.cand, s.keys[to])) {
+			if e > prevE[to] && (!lex || lexEqual(s.cand, s.keys[to])) {
+				prevE[to], s.prevV[to] = e, v
+			}
+			continue
+		}
+		dist[to] = nd
+		if lex {
+			s.keys[to] = append(s.keys[to][:0], s.cand...)
+		}
+		if s.pot != nil {
+			if lex {
+				s.fsc[to] = max(nd, s.pi[to])
+			} else {
+				s.fsc[to] = nd + s.pi[to]
+			}
+		}
+		prevE[to], s.prevV[to] = e, v
+		if fresh {
+			s.push(to)
+		} else {
+			s.decrease(to)
+		}
 	}
 }
 
-// Bottleneck runs the KindBottleneck search from src (see the package-
-// level Bottleneck) on the scratch's indexed 4-ary heap and
-// generation-stamped marks, materializing into t (allocated when nil);
-// it allocates nothing in steady state once its per-vertex key buffers
-// have grown to the graph's path lengths.
-//
-// The search is Dijkstra over the leximax key: a path's key is its edge
-// weights sorted descending, compared lexicographically with a shorter
-// prefix ranking below its extensions, and among arcs achieving a
-// vertex's final key the largest edge ID wins — the canonical tie-break
-// shared with the additive Dijkstra. Leximax is the refinement of the
-// minimax value (the key's first element, which Tree.Dist reports) that
-// makes the canonical tree both well defined and reusable:
-//
-//   - Appending an edge strictly grows a key, so predecessor keys
-//     strictly decrease along every tree path and the canonical tree is
-//     acyclic by construction (a pure minimax value-tie retarget can
-//     close predecessor cycles).
-//   - A vertex's key is monotone non-decreasing under any weight
-//     increase — keys keep every weight on the path, so no increase can
-//     hide behind a dominating maximum. Scalar secondaries (hop count,
-//     weight sum) lack exactly this: worsening a vertex's minimax can
-//     shrink its secondary and mint brand-new tie-achievers elsewhere,
-//     which is fatal to the Incremental cache's bit-identity contract
-//     under target-restricted recording.
-func (s *Scratch) Bottleneck(g *graph.Graph, src int, weight WeightFunc, t *Tree) *Tree {
-	n := g.NumVertices()
-	s.reset(n)
-	s.lex = true
-	s.touch(int32(src))
-	s.dist[src] = math.Inf(-1) // the empty path has no edges: -Inf max
-	s.keys[src] = s.keys[src][:0]
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(int32(src))
-	if csr := g.Frozen(); csr != nil {
-		for len(s.heap) > 0 {
-			v := s.pop()
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				s.relaxMax(v, csr.EdgeID[k], csr.Head[k], weight)
-			}
+// candidate builds the leximax key keys[v] ∪ {w}, sorted descending,
+// into s.cand.
+func (s *Scratch) candidate(v int32, w float64) {
+	s.cand = s.cand[:0]
+	inserted := false
+	for _, x := range s.keys[v] {
+		if !inserted && w > x {
+			s.cand = append(s.cand, w)
+			inserted = true
 		}
-	} else {
-		for len(s.heap) > 0 {
-			v := s.pop()
-			for _, a := range g.OutArcs(int(v)) {
-				s.relaxMax(v, int32(a.Edge), int32(a.To), weight)
-			}
-		}
+		s.cand = append(s.cand, x)
 	}
-	return s.fill(t, src, n)
+	if !inserted {
+		s.cand = append(s.cand, w)
+	}
 }
 
 // lexLess compares two leximax keys (sorted descending); a key that is
@@ -223,51 +259,61 @@ func lexEqual(a, b []float64) bool {
 	return true
 }
 
-// relaxMax is relax under the leximax objective: the candidate key is
-// keys[v] with w inserted in sorted order, improvements replace the
-// key, and full-key ties retarget to the larger edge ID (see
-// Bottleneck). The scalar maximum (dist) screens candidates first, so
-// full-key work only runs on minimax ties.
-func (s *Scratch) relaxMax(v, e, to int32, weight WeightFunc) {
-	w := weight(int(e))
-	if math.IsInf(w, 1) {
-		return
-	}
-	nd := math.Max(s.dist[v], w)
-	if s.stamp[to] == s.gen && nd > s.dist[to] {
-		return // scalar screen: candidate max already worse
-	}
-	// Build the candidate key: keys[v] ∪ {w}, sorted descending.
-	kv := s.keys[v]
-	s.cand = s.cand[:0]
-	inserted := false
-	for _, x := range kv {
-		if !inserted && w > x {
-			s.cand = append(s.cand, w)
-			inserted = true
-		}
-		s.cand = append(s.cand, x)
-	}
-	if !inserted {
-		s.cand = append(s.cand, w)
-	}
-	if s.stamp[to] != s.gen {
-		s.touch(to)
-		s.dist[to] = nd
-		s.keys[to] = append(s.keys[to][:0], s.cand...)
-		s.prevE[to], s.prevV[to] = e, v
-		s.push(to)
-		return
-	}
-	switch {
-	case nd < s.dist[to] || lexLess(s.cand, s.keys[to]):
-		s.dist[to] = nd
-		s.keys[to] = append(s.keys[to][:0], s.cand...)
-		s.prevE[to], s.prevV[to] = e, v
-		s.decrease(to)
-	case e > s.prevE[to] && lexEqual(s.cand, s.keys[to]):
-		s.prevE[to], s.prevV[to] = e, v
-	}
+// altSlack is the relative slack on the additive A* stop bound. With a
+// potential that is consistent in exact arithmetic, float rounding of
+// the potential (differences of accumulated path sums) can overshoot a
+// tie-achieving vertex's f-key past dist[dst] by a few ulps; the search
+// therefore settles everything with f <= dist[dst]·(1+altSlack) before
+// stopping. The extra vertices cannot perturb the answer — an exact-tie
+// retarget of a vertex v needs dist[u] + w == dist[v] <= dist[dst] with
+// w >= 0, which pins dist[u] <= dist[dst], a vertex both the plain
+// early-exit search and the A* search settle — so the slack buys float
+// robustness without costing bit-identity. The leximax A* needs none:
+// max() never synthesizes new float values, so its f-keys compare
+// exactly.
+const altSlack = 1e-12
+
+// Dijkstra runs shortest paths from src under nonnegative weights,
+// reusing the scratch's buffers, and materializes the result into t
+// (allocated when nil). Semantics match the package-level Dijkstra —
+// including the canonical largest-edge-ID tie-break — with zero
+// steady-state allocation when t is reused.
+func (s *Scratch) Dijkstra(g *graph.Graph, src int, weight WeightFunc, t *Tree) *Tree {
+	return s.tree(g, KindAdditive, src, weight, t)
+}
+
+// Bottleneck runs the KindBottleneck search from src (see the package-
+// level Bottleneck) and materializes it into t (allocated when nil); it
+// allocates nothing in steady state once its per-vertex key buffers
+// have grown to the graph's path lengths.
+//
+// The search is Dijkstra over the leximax key: a path's key is its edge
+// weights sorted descending, compared lexicographically with a shorter
+// prefix ranking below its extensions, and among arcs achieving a
+// vertex's final key the largest edge ID wins — the canonical tie-break
+// shared with the additive Dijkstra. Leximax is the refinement of the
+// minimax value (the key's first element, which Tree.Dist reports) that
+// makes the canonical tree both well defined and reusable:
+//
+//   - Appending an edge strictly grows a key, so predecessor keys
+//     strictly decrease along every tree path and the canonical tree is
+//     acyclic by construction (a pure minimax value-tie retarget can
+//     close predecessor cycles).
+//   - A vertex's key is monotone non-decreasing under any weight
+//     increase — keys keep every weight on the path, so no increase can
+//     hide behind a dominating maximum. Scalar secondaries (hop count,
+//     weight sum) lack exactly this: worsening a vertex's minimax can
+//     shrink its secondary and mint brand-new tie-achievers elsewhere,
+//     which is fatal to the Incremental cache's bit-identity contract
+//     under target-restricted recording.
+func (s *Scratch) Bottleneck(g *graph.Graph, src int, weight WeightFunc, t *Tree) *Tree {
+	return s.tree(g, KindBottleneck, src, weight, t)
+}
+
+// tree runs a full search of the given kind and materializes it.
+func (s *Scratch) tree(g *graph.Graph, kind TreeKind, src int, weight WeightFunc, t *Tree) *Tree {
+	s.search(g.Freeze(), kind, int32(src), -1, weight, nil)
+	return s.fill(t, src, g.NumVertices())
 }
 
 // ShortestPathTo answers a single-target query: the canonical shortest
@@ -282,348 +328,56 @@ func (s *Scratch) relaxMax(v, e, to int32, weight WeightFunc) {
 // layer's critical-value bisection runs on this query (via
 // Incremental.PathTo) instead of full trees.
 func (s *Scratch) ShortestPathTo(g *graph.Graph, src, dst int, weight WeightFunc) ([]int, float64, bool) {
-	n := g.NumVertices()
-	s.reset(n)
-	s.touch(int32(src))
-	s.dist[src] = 0
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(int32(src))
-	csr := g.Frozen()
-	found := false
-	var dd float64
-	for len(s.heap) > 0 {
-		v := s.pop()
-		dv := s.dist[v]
-		if found && dv > dd {
-			break // every relaxation that can reach key <= dist[dst] is done
-		}
-		if int(v) == dst {
-			found, dd = true, dv
-		}
-		if csr != nil {
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				s.relax(v, csr.EdgeID[k], csr.Head[k], dv, weight)
-			}
-		} else {
-			for _, a := range g.OutArcs(int(v)) {
-				s.relax(v, int32(a.Edge), int32(a.To), dv, weight)
-			}
-		}
-	}
-	if !found {
-		return nil, math.Inf(1), false
-	}
-	return s.pathOut(src, dst), dd, true
-}
-
-// runAdditiveCSR runs a full additive Dijkstra from src over an
-// explicit CSR — the forward or reverse adjacency — leaving the result
-// in the scratch state (dist/prevE/prevV over s.order) instead of
-// materializing a Tree. Tie-break and semantics match Dijkstra.
-// Landmark table construction and the backward half of the
-// bidirectional probe run on this.
-func (s *Scratch) runAdditiveCSR(csr *graph.CSR, n int, src int32, weight WeightFunc) {
-	s.reset(n)
-	s.touch(src)
-	s.dist[src] = 0
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(src)
-	for len(s.heap) > 0 {
-		v := s.pop()
-		dv := s.dist[v]
-		for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-			s.relax(v, csr.EdgeID[k], csr.Head[k], dv, weight)
-		}
-	}
-}
-
-// runMinimaxCSR runs a full scalar minimax (bottleneck) Dijkstra from
-// src over an explicit CSR, leaving dist in the scratch state. Only the
-// distance values matter — the run backs landmark minimax table
-// construction, which never reads predecessors — so no leximax keys are
-// maintained: the scalar minimax value of a vertex is tie-break
-// independent.
-func (s *Scratch) runMinimaxCSR(csr *graph.CSR, n int, src int32, weight WeightFunc) {
-	s.reset(n)
-	s.touch(src)
-	s.dist[src] = math.Inf(-1) // the empty path has no edges: -Inf max
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(src)
-	for len(s.heap) > 0 {
-		v := s.pop()
-		dv := s.dist[v]
-		for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-			e, to := csr.EdgeID[k], csr.Head[k]
-			w := weight(int(e))
-			if math.IsInf(w, 1) {
-				continue
-			}
-			nd := math.Max(dv, w)
-			if s.stamp[to] != s.gen {
-				s.touch(to)
-				s.dist[to] = nd
-				s.prevE[to], s.prevV[to] = e, v
-				s.push(to)
-			} else if nd < s.dist[to] {
-				s.dist[to] = nd
-				s.prevE[to], s.prevV[to] = e, v
-				s.decrease(to)
-			}
-		}
-	}
-}
-
-// altSlack is the relative slack on the A* stop bound. With a potential
-// that is consistent in exact arithmetic, float rounding of the
-// potential (differences of accumulated path sums) can overshoot a
-// tie-achieving vertex's f-key past dist[dst] by a few ulps; the search
-// therefore settles everything with f <= dist[dst]·(1+altSlack) before
-// stopping. The extra vertices cannot perturb the answer — an exact-tie
-// retarget of a vertex v needs dist[u] + w == dist[v] <= dist[dst] with
-// w >= 0, which pins dist[u] <= dist[dst], a vertex both the plain
-// early-exit search and the A* search settle — so the slack buys float
-// robustness without costing bit-identity.
-const altSlack = 1e-12
-
-// relaxA is relax for A* runs: identical tie-break, plus maintenance of
-// the fsc heap key and one potential evaluation on first touch.
-func (s *Scratch) relaxA(v, e, to int32, dv float64, weight WeightFunc, pot func(int32) float64) {
-	w := weight(int(e))
-	if math.IsInf(w, 1) {
-		return
-	}
-	nd := dv + w
-	if s.stamp[to] != s.gen {
-		s.touch(to)
-		s.dist[to] = nd
-		s.pi[to] = pot(to)
-		s.fsc[to] = nd + s.pi[to]
-		s.prevE[to], s.prevV[to] = e, v
-		s.push(to)
-		return
-	}
-	switch d := s.dist[to]; {
-	case nd < d:
-		s.dist[to] = nd
-		s.fsc[to] = nd + s.pi[to]
-		s.prevE[to], s.prevV[to] = e, v
-		s.decrease(to)
-	case nd == d && e > s.prevE[to]:
-		s.prevE[to], s.prevV[to] = e, v
-	}
-}
-
-// shortestPathToPot is ShortestPathTo guided by a potential: Dijkstra
-// ordered by f(v) = dist[v] + pot(v). pot must be consistent w.r.t. the
-// weights (pot(u) <= w(u->v) + pot(v) on every arc, up to float
-// rounding) with pot(dst) == 0, which makes it an admissible lower
-// bound on the remaining distance; then every vertex is settled at
-// most once (modulo ulp re-opens, which decrease handles) and the
-// search can stop once every f-key at most dist[dst] — every vertex
-// that can supply a canonical tie on the returned path — is settled.
-// The answer is bit-identical to ShortestPathTo: identical dist values
-// (the same float sums along the same paths) and identical
-// largest-edge-ID retargets along the path (see altSlack).
-func (s *Scratch) shortestPathToPot(g *graph.Graph, src, dst int, weight WeightFunc, pot func(int32) float64) ([]int, float64, bool) {
-	n := g.NumVertices()
-	s.reset(n)
-	s.astar = true
-	s.touch(int32(src))
-	s.dist[src] = 0
-	s.pi[src] = pot(int32(src))
-	s.fsc[src] = s.pi[src]
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(int32(src))
-	csr := g.Frozen()
-	found := false
-	var dd, bound float64
-	for len(s.heap) > 0 {
-		v := s.pop()
-		if found && s.fsc[v] > bound {
-			break // every f-key that can reach or tie dist[dst] is settled
-		}
-		dv := s.dist[v]
-		if int(v) == dst {
-			found, dd = true, dv
-			bound = dd * (1 + altSlack)
-		}
-		if csr != nil {
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				s.relaxA(v, csr.EdgeID[k], csr.Head[k], dv, weight, pot)
-			}
-		} else {
-			for _, a := range g.OutArcs(int(v)) {
-				s.relaxA(v, int32(a.Edge), int32(a.To), dv, weight, pot)
-			}
-		}
-	}
-	if !found {
-		return nil, math.Inf(1), false
-	}
-	return s.pathOut(src, dst), dd, true
+	return s.pathTo(g, KindAdditive, src, dst, weight, nil)
 }
 
 // ShortestPathToALT is ShortestPathTo pruned by ALT (A*, landmarks,
 // triangle inequality) lower bounds: the landmark tables supply a
 // consistent potential that steers the search toward dst and lets it
 // stop after settling a fraction of the vertices the plain early-exit
-// search would. The landmarks must have been built on a lower bound of
-// weight (see BuildLandmarks); under that contract the answer is
-// bit-identical to ShortestPathTo. The number of vertices the run
-// touched is readable afterwards via Touched.
+// search would (see altSlack). The landmarks must have been built on a
+// lower bound of weight (see BuildLandmarks); under that contract the
+// answer is bit-identical to ShortestPathTo, which is what it runs when
+// lm is nil or empty. The number of vertices the run touched is
+// readable afterwards via Touched.
 func (s *Scratch) ShortestPathToALT(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks) ([]int, float64, bool) {
-	if lm == nil || lm.K() == 0 {
-		return s.ShortestPathTo(g, src, dst, weight)
-	}
-	return s.shortestPathToPot(g, src, dst, weight, lm.potential(int32(dst)))
+	return s.pathTo(g, KindAdditive, src, dst, weight, lm.potential(int32(dst)))
 }
-
-// Touched reports how many vertices the scratch's last run reached —
-// the work profile the oracle metrics aggregate.
-func (s *Scratch) Touched() int { return len(s.order) }
 
 // BottleneckPathTo is the KindBottleneck form of ShortestPathTo: the
 // canonical minimax path from src to dst, its bottleneck value, and
 // whether dst is reachable, bit-identical to s.Bottleneck(...) followed
 // by Tree.PathTo(dst) / Tree.Dist[dst]. The leximax key lets it exit
-// even earlier than the additive search: every relaxation candidate's
-// key strictly exceeds its predecessor's (appending an edge grows the
-// key), so every predecessor on dst's path — and every tie the
-// canonical tree resolves — is settled before dst itself pops, and the
-// search stops at that pop outright.
+// even earlier than the additive search: it stops the moment dst pops.
 func (s *Scratch) BottleneckPathTo(g *graph.Graph, src, dst int, weight WeightFunc) ([]int, float64, bool) {
-	n := g.NumVertices()
-	s.reset(n)
-	s.lex = true
-	s.touch(int32(src))
-	s.dist[src] = math.Inf(-1)
-	s.keys[src] = s.keys[src][:0]
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(int32(src))
-	csr := g.Frozen()
-	for len(s.heap) > 0 {
-		v := s.pop()
-		if int(v) == dst {
-			return s.pathOut(src, dst), s.dist[v], true
-		}
-		if csr != nil {
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				s.relaxMax(v, csr.EdgeID[k], csr.Head[k], weight)
-			}
-		} else {
-			for _, a := range g.OutArcs(int(v)) {
-				s.relaxMax(v, int32(a.Edge), int32(a.To), weight)
-			}
-		}
-	}
-	return nil, math.Inf(1), false
-}
-
-// relaxMaxA is relaxMax for minimax A* runs: identical candidate-key
-// construction and tie-breaks, plus maintenance of the fsc heap key
-// fsc[v] = max(dist[v], pi[v]) and one potential evaluation on first
-// touch.
-func (s *Scratch) relaxMaxA(v, e, to int32, weight WeightFunc, pot func(int32) float64) {
-	w := weight(int(e))
-	if math.IsInf(w, 1) {
-		return
-	}
-	nd := math.Max(s.dist[v], w)
-	if s.stamp[to] == s.gen && nd > s.dist[to] {
-		return // scalar screen: candidate max already worse
-	}
-	kv := s.keys[v]
-	s.cand = s.cand[:0]
-	inserted := false
-	for _, x := range kv {
-		if !inserted && w > x {
-			s.cand = append(s.cand, w)
-			inserted = true
-		}
-		s.cand = append(s.cand, x)
-	}
-	if !inserted {
-		s.cand = append(s.cand, w)
-	}
-	if s.stamp[to] != s.gen {
-		s.touch(to)
-		s.dist[to] = nd
-		s.pi[to] = pot(to)
-		s.fsc[to] = math.Max(nd, s.pi[to])
-		s.keys[to] = append(s.keys[to][:0], s.cand...)
-		s.prevE[to], s.prevV[to] = e, v
-		s.push(to)
-		return
-	}
-	switch {
-	case nd < s.dist[to] || lexLess(s.cand, s.keys[to]):
-		s.dist[to] = nd
-		s.fsc[to] = math.Max(nd, s.pi[to])
-		s.keys[to] = append(s.keys[to][:0], s.cand...)
-		s.prevE[to], s.prevV[to] = e, v
-		s.decrease(to)
-	case e > s.prevE[to] && lexEqual(s.cand, s.keys[to]):
-		s.prevE[to], s.prevV[to] = e, v
-	}
-}
-
-// bottleneckPathToPot is BottleneckPathTo guided by a minimax
-// potential: the search orders the heap by f(v) = max(dist[v], pot(v)),
-// ties broken by dist then by the full leximax key. pot must be
-// consistent under the minimax composition (pot(u) <= max(w(u->v),
-// pot(v)) on every arc) and admissible (pot(u) <= the true remaining
-// bottleneck value to dst); the landmark tables supply exactly that.
-// Unlike the additive A* no float slack is needed — max() never
-// synthesizes new float values, so f-keys compare exactly — and the
-// search still exits the moment dst pops: f is non-decreasing and the
-// leximax key strictly increasing along the canonical path, so every
-// predecessor and every tie-supplying relaxation source of the path
-// orders strictly before dst under (f, dist, key) and has been settled.
-// The answer is bit-identical to BottleneckPathTo.
-func (s *Scratch) bottleneckPathToPot(g *graph.Graph, src, dst int, weight WeightFunc, pot func(int32) float64) ([]int, float64, bool) {
-	n := g.NumVertices()
-	s.reset(n)
-	s.lex = true
-	s.astar = true
-	s.touch(int32(src))
-	s.dist[src] = math.Inf(-1)
-	s.pi[src] = pot(int32(src))
-	s.fsc[src] = s.pi[src]
-	s.keys[src] = s.keys[src][:0]
-	s.prevE[src], s.prevV[src] = -1, -1
-	s.push(int32(src))
-	csr := g.Frozen()
-	for len(s.heap) > 0 {
-		v := s.pop()
-		if int(v) == dst {
-			return s.pathOut(src, dst), s.dist[v], true
-		}
-		if csr != nil {
-			for k, end := csr.Start[v], csr.Start[v+1]; k < end; k++ {
-				s.relaxMaxA(v, csr.EdgeID[k], csr.Head[k], weight, pot)
-			}
-		} else {
-			for _, a := range g.OutArcs(int(v)) {
-				s.relaxMaxA(v, int32(a.Edge), int32(a.To), weight, pot)
-			}
-		}
-	}
-	return nil, math.Inf(1), false
+	return s.pathTo(g, KindBottleneck, src, dst, weight, nil)
 }
 
 // BottleneckPathToALT is BottleneckPathTo pruned by landmark-derived
 // minimax lower bounds: the bottleneck tables (Landmarks.WithBottleneck)
 // supply a consistent minimax potential that steers the leximax search
-// toward dst. The landmarks must have been built on a lower bound of
-// weight; under that contract the answer — path, value, and every
-// canonical tie-break — is bit-identical to BottleneckPathTo. Falls
-// back to the plain search when lm is nil or lacks the minimax tables.
+// toward dst. f is non-decreasing and the leximax key strictly
+// increasing along the canonical path, so the search still exits the
+// moment dst pops. The landmarks must have been built on a lower bound
+// of weight; under that contract the answer — path, value, and every
+// canonical tie-break — is bit-identical to BottleneckPathTo, which is
+// what it runs when lm is nil, empty, or lacks the minimax tables.
 func (s *Scratch) BottleneckPathToALT(g *graph.Graph, src, dst int, weight WeightFunc, lm *Landmarks) ([]int, float64, bool) {
-	if lm == nil || lm.K() == 0 || !lm.HasBottleneck() {
-		return s.BottleneckPathTo(g, src, dst, weight)
-	}
-	return s.bottleneckPathToPot(g, src, dst, weight, lm.bottleneckPotential(int32(dst)))
+	return s.pathTo(g, KindBottleneck, src, dst, weight, lm.bottleneckPotential(int32(dst)))
 }
+
+// pathTo runs a single-target search of the given kind and reads the
+// path and its length off the scratch state.
+func (s *Scratch) pathTo(g *graph.Graph, kind TreeKind, src, dst int, weight WeightFunc, pot func(int32) float64) ([]int, float64, bool) {
+	if !s.search(g.Freeze(), kind, int32(src), int32(dst), weight, pot) {
+		return nil, math.Inf(1), false
+	}
+	return s.pathOut(src, dst), s.dist[dst], true
+}
+
+// Touched reports how many vertices the scratch's last run reached —
+// the work profile the oracle metrics aggregate.
+func (s *Scratch) Touched() int { return len(s.order) }
 
 // pathOut materializes the settled prev chain from src to dst as edge
 // IDs in path order.
@@ -707,32 +461,32 @@ func (s *Scratch) pop() int32 {
 	return top
 }
 
-// less orders heap entries: by dist, refined by the full leximax keys
-// in bottleneck runs (additive runs never read s.keys), or by the
-// potential-adjusted fsc key in A* runs (ties fall back to dist so
-// nearer vertices settle first; in additive A* any tie order is
-// correct — A* with a consistent potential is label-setting regardless
-// — but minimax A* runs both astar and lex, and there the final lex
-// fall-through is load-bearing: it guarantees every strictly
-// lex-smaller label on the canonical path settles before dst pops, so
-// the early exit keeps the leximax tie-breaks bit-identical).
+// less orders heap entries: by the potential-adjusted fsc key in A*
+// runs, then by dist, then — in leximax runs — by the full keys
+// (additive runs never read s.keys). In additive A* any tie order is
+// correct (A* with a consistent potential is label-setting regardless),
+// but minimax A* runs are both A* and leximax, and there the final lex
+// fall-through is load-bearing: it guarantees every strictly lex-smaller
+// label on the canonical path settles before dst pops, so the early
+// exit keeps the leximax tie-breaks bit-identical.
 func (s *Scratch) less(a, b int32) bool {
-	if s.astar {
-		fa, fb := s.fsc[a], s.fsc[b]
-		if fa != fb {
+	if s.pot != nil {
+		if fa, fb := s.fsc[a], s.fsc[b]; fa != fb {
 			return fa < fb
 		}
-		da, db := s.dist[a], s.dist[b]
-		if da != db {
-			return da < db
-		}
-		return s.lex && lexLess(s.keys[a], s.keys[b])
 	}
-	da, db := s.dist[a], s.dist[b]
-	if da != db {
+	if da, db := s.dist[a], s.dist[b]; da != db {
 		return da < db
 	}
 	return s.lex && lexLess(s.keys[a], s.keys[b])
+}
+
+// key is v's primary heap key: fsc in A* runs, dist otherwise.
+func (s *Scratch) key(v int32) float64 {
+	if s.pot != nil {
+		return s.fsc[v]
+	}
+	return s.dist[v]
 }
 
 func (s *Scratch) up(i int) {

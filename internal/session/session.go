@@ -58,17 +58,6 @@ type Config struct {
 	// "s1-", ...) so a session id names its owning shard and cluster
 	// peers can resolve misrouted calls without a directory service.
 	IDPrefix string
-	// PolicyWarmup / PolicyCostRatio tune every session's adaptive
-	// refresh policy (see core.Options); zero keeps the pathfind
-	// defaults.
-	PolicyWarmup    int
-	PolicyCostRatio float64
-	// LandmarkStaleRatio tunes the landmark lifecycle's prune-ratio
-	// rebuild threshold for every session's oracle (see core.Options /
-	// pathfind.OracleConfig.StalePruneRatio); zero keeps
-	// pathfind.DefaultStalePruneRatio, negative disables prune-driven
-	// rebuilds.
-	LandmarkStaleRatio float64
 }
 
 // Stats is a point-in-time view of a Manager's counters.
@@ -118,9 +107,9 @@ type Manager struct {
 	admitLatency *metrics.Histogram
 	quoteLatency *metrics.Histogram
 
-	// lmRebuilds / lmRebuildLatency observe the landmark lifecycle: the
-	// oracle's staleness policy rebuilds a session's tables in-place, and
-	// a per-session CacheStats sum would shrink on eviction — so the
+	// lmRebuilds / lmRebuildLatency observe the landmark lifecycle: a
+	// lower-bound violation rebuilds a session's tables in place, and a
+	// per-session CacheStats sum would shrink on eviction — so the
 	// rebuild count and duration are accumulated manager-side through
 	// core.Options.OnLandmarkRebuild, keeping the exported counter
 	// monotone.
@@ -160,10 +149,7 @@ func (m *Manager) Register(g *graph.Graph, eps float64) (*Session, error) {
 		PathPool: m.pool,
 		// Auto-built landmark tables come from the process-wide registry,
 		// so shards and sessions serving the same topology share one set.
-		LandmarkRegistry:   pathfind.SharedLandmarks,
-		LandmarkStaleRatio: m.cfg.LandmarkStaleRatio,
-		PolicyWarmup:       m.cfg.PolicyWarmup,
-		PolicyCostRatio:    m.cfg.PolicyCostRatio,
+		LandmarkRegistry: pathfind.SharedLandmarks,
 		// The hook fires under the session's lock mid-Admit; both sinks
 		// are concurrency-safe, so it stays cheap and lock-free here.
 		OnLandmarkRebuild: func(seconds float64) {
@@ -325,7 +311,7 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) {
 	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; each triggers a rebuild, or disables the tables past the budget).",
 		func(s pathfind.CacheStats) float64 { return float64(s.LandmarkViolations) })
 	counter("ufp_pathcache_landmark_rebuilds_total",
-		"Landmark table rebuilds triggered by the staleness policy or a bound violation (monotone; survives session eviction).",
+		"Landmark table rebuilds triggered by a lower-bound violation (monotone; survives session eviction; 0 under monotone prices).",
 		m.lmRebuilds.Load)
 	reg.NewHistogramFamily("ufp_pathcache_landmark_rebuild_duration_seconds",
 		"Wall time of each landmark table rebuild (2k Dijkstras plus minimax tables when enabled).",
@@ -510,9 +496,9 @@ type Info struct {
 	BidiMeets        int64   `json:"bidiMeets"`
 	PolicyTree       int64   `json:"policyTree"`
 	PolicySingle     int64   `json:"policySingle"`
-	// LandmarkRebuilds counts this session's landmark table rebuilds —
-	// the staleness policy re-selecting landmarks against the current
-	// price snapshot.
+	// LandmarkRebuilds counts this session's landmark table rebuilds.
+	// Only a lower-bound violation rebuilds, so it stays 0 while prices
+	// are monotone.
 	LandmarkRebuilds int64     `json:"landmarkRebuilds"`
 	Created          time.Time `json:"created"`
 	LastUsed         time.Time `json:"lastUsed"`

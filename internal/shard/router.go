@@ -484,7 +484,7 @@ func (r *Router) registerAggregates(reg *metrics.Registry) {
 	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; each triggers a rebuild, or disables the tables past the budget).",
 		func(s pathfind.CacheStats) float64 { return float64(s.LandmarkViolations) })
 	counter("ufp_pathcache_landmark_rebuilds_total",
-		"Landmark table rebuilds triggered by the staleness policy or a bound violation (monotone; survives session eviction).",
+		"Landmark table rebuilds triggered by a lower-bound violation (monotone; survives session eviction; 0 under monotone prices).",
 		func(b *backend) int64 { return b.eng.Sessions().LandmarkRebuilds() })
 	rebuildF := reg.NewHistogramFamily("ufp_pathcache_landmark_rebuild_duration_seconds",
 		"Wall time of each landmark table rebuild (2k Dijkstras plus minimax tables when enabled).",
