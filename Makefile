@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-json bench-trend fuzz-smoke serve fmt vet perfbench-check ci smoke smoke-session smoke-metrics smoke-cluster
+.PHONY: all build test bench bench-json bench-trend bench-e2e fuzz-smoke serve fmt vet perfbench-check ci smoke smoke-session smoke-metrics smoke-cluster
 
 all: build
 
@@ -39,17 +39,40 @@ bench-json:
 bench-trend:
 	$(GO) run ./cmd/benchjson -out /tmp/BENCH_path_fresh.json -baseline BENCH_path.json -max-regression 0.25
 
-# Short native-fuzz passes over the path engine's canonical tie-break
-# invariants (the CI step): leximax bottleneck tree properties, the
-# ALT/bidirectional oracle's bit-identity to the plain search, and the
-# goal-directed bottleneck search's bit-identity to the plain leximax
-# search and full tree, each against fresh randomly generated (graph,
-# weights, bump-sequence) triples. Go allows one -fuzz target per
-# invocation, hence three runs.
+# Short native-fuzz passes (the CI step): three over the path engine's
+# canonical tie-break invariants — leximax bottleneck tree properties,
+# the ALT/bidirectional oracle's bit-identity to the plain search, and
+# the goal-directed bottleneck search's bit-identity to the plain
+# leximax search and full tree, each against fresh randomly generated
+# (graph, weights, bump-sequence) triples — and one over the mechanism:
+# exact Bounded-UFP critical values against bisection on small random
+# contended instances. Go allows one -fuzz target per invocation, hence
+# four runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBottleneckLeximax$$' -fuzztime=10s ./internal/pathfind/
 	$(GO) test -run='^$$' -fuzz='^FuzzLandmarkOracle$$' -fuzztime=10s ./internal/pathfind/
 	$(GO) test -run='^$$' -fuzz='^FuzzBottleneckALT$$' -fuzztime=10s ./internal/pathfind/
+	$(GO) test -run='^$$' -fuzz='^FuzzCriticalValue$$' -fuzztime=10s ./internal/mechanism/
+
+# One end-to-end benchmark pass (perfbench/run.sh; see perfbench/README.md):
+#   make bench-e2e WORKLOAD=mechanism-payments SEED=1 SECONDS=25 TRACE=0
+# The pass runs in its own process group (setsid), which an EXIT trap
+# kills however the recipe ends, and the recipe fails if a benchmark
+# client or server outlives it.
+WORKLOAD ?= mechanism-payments
+SEED ?= 1
+SECONDS ?= 25
+TRACE ?= 0
+bench-e2e: SHELL := /bin/bash
+bench-e2e: .SHELLFLAGS := -o pipefail -c
+bench-e2e:
+	setsid bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE) & pid=$$!; \
+	trap 'kill -- -'$$pid' 2>/dev/null' EXIT; \
+	trap 'exit 130' INT TERM; \
+	wait $$pid; status=$$?; \
+	kill -- -$$pid 2>/dev/null; \
+	for i in $$(seq 1 50); do pgrep -f '\.bench_build/(ufpserve|perfbench)' > /dev/null || break; sleep 0.1; done; \
+	! pgrep -af '\.bench_build/(ufpserve|perfbench)' && exit $$status
 
 serve:
 	$(GO) run ./cmd/ufpserve

@@ -387,8 +387,10 @@ func BenchmarkGargKonemann(b *testing.B) {
 	}
 }
 
-// BenchmarkCriticalValue measures one truthful payment (≈60 algorithm
-// re-runs via bisection).
+// BenchmarkCriticalValue measures one truthful payment both ways on
+// the same instance and winner: /bisection re-runs the algorithm ≈60
+// times, /exact is one counterfactual run (core.BoundedUFPCriticalCtx,
+// which BoundedUFPAlg attaches to its allocations).
 func BenchmarkCriticalValue(b *testing.B) {
 	cfg := workload.UFPConfig{
 		Vertices: 10, Edges: 24, Requests: 60, Directed: true,
@@ -399,8 +401,8 @@ func BenchmarkCriticalValue(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	alg := mechanism.BoundedUFPAlg(0.25, nil)
-	base, err := alg(inst)
+	exact := mechanism.BoundedUFPAlg(0.25, nil)
+	base, err := exact(inst)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,12 +410,25 @@ func BenchmarkCriticalValue(b *testing.B) {
 		b.Fatal("nothing selected")
 	}
 	winner := base.Routed[0].Request
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mechanism.UFPCriticalValue(alg, inst, winner); err != nil {
-			b.Fatal(err)
+	bisection := func(in *core.Instance) (*core.Allocation, error) {
+		a, err := exact(in)
+		if a != nil {
+			a.Critical = nil // the drivers fall back to bisection
 		}
+		return a, err
+	}
+	for _, c := range []struct {
+		name string
+		alg  mechanism.UFPAlgorithm
+	}{{"bisection", bisection}, {"exact", exact}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mechanism.UFPCriticalValue(c.alg, inst, winner); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -76,8 +76,8 @@
 // Every entry point has a context-first *Ctx form (SolveUFPCtx,
 // BoundedMUCACtx, RunUFPMechanismCtx, ...), and the registry's
 // Solver.Solve takes ctx as its first argument: the context is checked
-// every main-loop iteration — and between every critical-value probe of
-// a mechanism run — so a done context abandons the solve promptly and
+// every main-loop iteration — and between the critical-value runs of a
+// mechanism run — so a done context abandons the solve promptly and
 // returns the context's error. The pre-v1 spellings (SolveUFP, ...)
 // remain as thin wrappers with no context. The deprecated shims are
 // gone as scheduled: Options.Ctx / AuctionOptions.Ctx have been
@@ -117,15 +117,17 @@
 // per-source policy that watches observed dirty rates and target
 // fan-out to choose tree rebuilds versus oracle queries
 // (Options.Adaptive / Landmarks / Bidirectional); the mechanism's
-// payment bisection enables them automatically. The landmark tables
+// Bounded-UFP adapter enables them automatically for the allocation and
+// for the one counterfactual run per winner that yields its exact
+// critical value (core.BoundedUFPCriticalCtx). The landmark tables
 // are built once, at registration, from the initial prices: prices only
 // rise, so that snapshot lower-bounds every later price and the tables
 // stay valid for the whole run. They are rebuilt only if a caller ever
 // breaks the monotone contract (a weight below its recorded bound),
 // within a fixed violation budget past which they disable. One
 // immutable table set per topology is shared process-wide through
-// pathfind.SharedLandmarks (engine shards, mechanism bisection
-// probes); violation rebuilds stay session-private since they snapshot
+// pathfind.SharedLandmarks (engine shards, mechanism payment runs);
+// violation rebuilds stay session-private since they snapshot
 // one session's prices. Cached answers
 // are bit-identical to recomputation (every kind's tie-break is
 // canonical, and each acceleration provably preserves it), so the

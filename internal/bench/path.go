@@ -281,7 +281,7 @@ func congestedInstance(quick bool) *congestedNet {
 //     (Scratch.ShortestPathTo); the ALT landmark-pruned search
 //     (Scratch.ShortestPathToALT); and the bidirectional probe
 //     (ShortestPathToBidi). The last two are the next-gen oracle the
-//     mechanism's payment bisection runs on; all four return
+//     mechanism's payment runs use; all four return
 //     bit-identical paths.
 //   - BottleneckSingleTarget/{early-exit,landmark}: one bottleneck
 //     (source, target) query on the directed congested-region network
@@ -388,7 +388,7 @@ func PathCases(quick bool) []Case {
 			// Perturbed prices, as after a few primal-dual iterations: flat
 			// 1/c weights put most vertices on a handful of distance
 			// plateaus, which neuters the early exit's stop condition and
-			// measures a regime the bisection never runs in.
+			// measures a regime the mechanism never runs in.
 			rng := rand.New(rand.NewPCG(7, 11))
 			w := make([]float64, g.NumEdges())
 			for e := range w {
@@ -621,7 +621,7 @@ type Snapshot struct {
 	BottleneckSpeedup float64 `json:"bottleneck_speedup"`
 	BellmanSpeedup    float64 `json:"bellman_speedup"`
 	// SingleTargetSpeedup is full-tree ns/op over landmark ns/op for one
-	// (source, target) query — the full win of the mechanism-bisection
+	// (source, target) query — the full win of the mechanism's
 	// oracle's default serving mode over materializing a tree. (Until
 	// the ALT oracle landed this ratio was full-tree over early-exit;
 	// the early-exit baseline is still measured, and LandmarkSpeedup

@@ -51,9 +51,9 @@ type Options struct {
 	// cached early-exit search (pathfind.Incremental.PathTo) instead of
 	// a full shortest-path tree. Answers are bit-identical either way,
 	// so allocations do not depend on this flag; it pays off when most
-	// sources carry a single request — the mechanism's critical-value
-	// bisection, whose probes re-solve the instance dozens of times per
-	// winner, enables it for exactly that reason.
+	// sources carry a single request — the mechanism's Bounded-UFP
+	// adapter, which re-solves the instance once per winner, enables it
+	// for exactly that reason.
 	SingleTarget bool
 	// Adaptive replaces SingleTarget's static classification (lone-target
 	// sources to the oracle, everything else to trees) with the per-slot
@@ -86,8 +86,8 @@ type Options struct {
 	OnLandmarkRebuild func(seconds float64)
 	// Bidirectional routes single-target oracle misses through the
 	// bidirectional probe (meet-in-the-middle plus a potential-guided
-	// forward rerun) — the mechanism's critical-value bisection enables
-	// this for its probe re-solves.
+	// forward rerun) — the mechanism's Bounded-UFP adapter enables this
+	// for its allocation and payment runs.
 	Bidirectional bool
 	// PathPool, if non-nil, supplies the Dijkstra scratch buffers
 	// (see pathfind.Pool). Sharing one pool across many solves — as the
@@ -205,7 +205,8 @@ func ratiosTied(a, b float64) bool {
 // scaling y by 1/α(i) is dual feasible, so min over iterations of
 // D1(i)/α(i) + P(i) upper-bounds the fractional optimum.
 func BoundedUFP(inst *Instance, eps float64, opt *Options) (*Allocation, error) {
-	return boundedUFPLoop(nil, inst, eps, opt, false)
+	a, _, err := boundedUFPLoop(nil, inst, eps, opt, false, -1)
+	return a, err
 }
 
 // SolveUFP is the Theorem 3.1 calling convention: BoundedUFP(ε/6), which
@@ -221,7 +222,8 @@ func SolveUFP(inst *Instance, eps float64, opt *Options) (*Allocation, error) {
 // ε/6 yields a (1+ε)-approximation for B >= ln(m)/ε²-bounded instances;
 // the iteration count is bounded by m·c_max/d_min.
 func BoundedUFPRepeat(inst *Instance, eps float64, opt *Options) (*Allocation, error) {
-	return boundedUFPLoop(nil, inst, eps, opt, true)
+	a, _, err := boundedUFPLoop(nil, inst, eps, opt, true, -1)
+	return a, err
 }
 
 // SolveUFPRepeat is the Theorem 5.1 calling convention:
@@ -230,19 +232,56 @@ func SolveUFPRepeat(inst *Instance, eps float64, opt *Options) (*Allocation, err
 	return SolveUFPRepeatCtx(nil, inst, eps, opt)
 }
 
-func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Options, repeat bool) (*Allocation, error) {
+// BoundedUFPCriticalCtx returns request r's critical value under
+// BoundedUFP(eps) with options opt: the infimum declared value at which
+// r is selected, holding its demand and every other declaration fixed.
+// The answer does not depend on r's own declared value; a result above
+// it means r is not selected as declared.
+//
+// One counterfactual run suffices. Bounded-UFP routes the remaining
+// request with the smallest (d_r/v_r)·|p_r|, and v_r enters only r's own
+// ratio, so lowering v_r leaves the run unchanged until r is picked, and
+// until then it is the run R₋ᵣ in which r never competes. r, declared
+// at v, is picked at iteration k of R₋ᵣ iff d_r·L_k(r)/v beats the
+// chosen ratio ρ*_k, where L_k(r) is r's shortest-path length under
+// iteration k's prices. The critical value is therefore min over the
+// executed iterations of d_r·L_k(r)/ρ*_k — or 0 when R₋ᵣ ends with r
+// the only candidate left (every other request routed below the dual
+// threshold and inside MaxIterations, or none of them routable) and r
+// reachable. The selection treats ratios within ratioTolerance as tied
+// and breaks the tie by request index, so the value at which the loop
+// itself switches can sit a relative ratioTolerance/ρ*_k (for ρ*_k < 1)
+// away from this one — far inside the mechanism's CriticalPrecision
+// unless ratios fall below ~1e-3. Repeat mode has no critical-value
+// form: a routed request stays in the pool.
+func BoundedUFPCriticalCtx(ctx context.Context, inst *Instance, eps float64, opt *Options, r int) (float64, error) {
+	if r < 0 || r >= len(inst.Requests) {
+		return 0, fmt.Errorf("core: request %d out of range", r)
+	}
+	_, crit, err := boundedUFPLoop(ctx, inst, eps, opt, false, r)
+	return crit, err
+}
+
+// boundedUFPLoop is the main loop of Bounded-UFP (and, with repeat, of
+// Bounded-UFP-Repeat). A held-out request index held >= 0 runs the
+// counterfactual R₋ᵣ of BoundedUFPCriticalCtx instead: request held stays
+// in the instance — so B, the threshold, the request indices and the
+// path cache's per-source targets are those of the full run — but never
+// enters the pool, and the second result is its critical value. Normal
+// runs pass held = -1 and ignore the second result.
+func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Options, repeat bool, held int) (*Allocation, float64, error) {
 	if err := inst.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := validateEps(eps); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	b := inst.B()
 	if len(inst.Requests) == 0 {
-		return &Allocation{Stop: StopAllSatisfied, DualBound: 0}, nil
+		return &Allocation{Stop: StopAllSatisfied, DualBound: 0}, 0, nil
 	}
 	if err := checkExponentRange(eps, b); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	g := inst.G
 	m := g.NumEdges()
@@ -258,12 +297,18 @@ func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Optio
 	for i := range remaining {
 		remaining[i] = true
 	}
+	crit := math.Inf(1)
+	if held >= 0 {
+		remaining[held] = false
+		numRemaining--
+	}
+	atLimit := func(iters int) bool { return opt != nil && opt.MaxIterations > 0 && iters >= opt.MaxIterations }
 	alloc := &Allocation{DualBound: math.Inf(1)}
 	tie := opt.tieBreak()
 	sp := newShortestPaths(inst, opt)
 	for {
 		if err := ctxErr(ctx); err != nil {
-			return nil, fmt.Errorf("core: solve cancelled after %d iterations: %w", alloc.Iterations, err)
+			return nil, 0, fmt.Errorf("core: solve cancelled after %d iterations: %w", alloc.Iterations, err)
 		}
 		if !repeat && numRemaining == 0 {
 			alloc.Stop = StopAllSatisfied
@@ -273,7 +318,7 @@ func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Optio
 			alloc.Stop = StopDualThreshold
 			break
 		}
-		if opt != nil && opt.MaxIterations > 0 && alloc.Iterations >= opt.MaxIterations {
+		if atLimit(alloc.Iterations) {
 			alloc.Stop = StopIterationLimit
 			break
 		}
@@ -281,6 +326,14 @@ func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Optio
 		if !ok {
 			alloc.Stop = StopNoRoutablePath
 			break
+		}
+		// The held-out request, declared at v, would have been picked
+		// here iff (d/v)·L < ρ*: so v = d·L/ρ* is this iteration's
+		// threshold for it.
+		if held >= 0 {
+			if dist, ok := sp.distTo(held, y); ok {
+				crit = math.Min(crit, inst.Requests[held].Demand*dist/best.Ratio)
+			}
 		}
 		// Dual-fitting bound (Claim 3.6): (y/α, z) is dual feasible, with
 		// value D1/α + P where P is the value routed so far.
@@ -308,6 +361,20 @@ func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Optio
 			numRemaining--
 		}
 	}
+	if held >= 0 {
+		// With the others all routed (the full run still has the held-out
+		// request left, so it goes on to the threshold and iteration-limit
+		// checks) or none of them routable, the held-out request is the
+		// only candidate: if it is reachable it wins at any value.
+		last := alloc.Stop == StopNoRoutablePath ||
+			alloc.Stop == StopAllSatisfied && dualSum <= threshold && !atLimit(alloc.Iterations)
+		if last {
+			if _, ok := sp.distTo(held, y); ok {
+				crit = 0
+			}
+		}
+		return alloc, crit, nil
+	}
 	// One more dual-fitting sample after the loop: the final prices with
 	// the final α still certify a bound (and are the only sample if the
 	// loop exited immediately).
@@ -323,7 +390,7 @@ func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Optio
 		// most the total value, which the allocation attains: optimal.
 		alloc.DualBound = alloc.Value
 	}
-	return alloc, nil
+	return alloc, 0, nil
 }
 
 // shortestPaths computes, per iteration, the best candidate over all
@@ -444,6 +511,18 @@ func (sp *shortestPaths) bestCandidate(remaining []bool, y []float64, tie TieBre
 		return Candidate{}, false
 	}
 	return best, true
+}
+
+// distTo returns request i's shortest-path length under prices y, and
+// whether its target is reachable. It reads the same cache the
+// selection does (PathTo answers from the slot's tree when that is
+// fresh), so the length is bit-identical to the one bestCandidate would
+// compute for the request were it in the pool.
+func (sp *shortestPaths) distTo(i int, y []float64) (float64, bool) {
+	r := sp.inst.Requests[i]
+	slot, _ := sp.inc.Slot(r.Source)
+	_, dist, ok := sp.inc.PathTo(slot, r.Target, pathfind.FromSlice(y))
+	return dist, ok
 }
 
 // invalidate reports a price update on the given edges to the cache.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -315,5 +316,51 @@ func TestOnIterationObservesDualGrowth(t *testing.T) {
 	// D1(0) = m.
 	if duals[0] != 4 {
 		t.Fatalf("initial dual %g, want m = 4", duals[0])
+	}
+}
+
+func TestBoundedUFPCriticalValue(t *testing.T) {
+	unroutable := singleEdge(5, [2]float64{1, 1})
+	unroutable.G.AddVertex() // vertex 2, isolated
+	unroutable.Requests = append(unroutable.Requests, core.Request{Source: 0, Target: 2, Demand: 1, Value: 10})
+	diamond := diamondInstance(10, [2]float64{1, 3}, [2]float64{1, 2}, [2]float64{1, 1})
+	cases := []struct {
+		name string
+		inst *core.Instance
+		opt  *core.Options
+		r    int
+		want float64
+	}{
+		// Request 1 wins the edge while its 1/v beats request 0's 1/1.
+		{"contended edge", singleEdge(1, [2]float64{1, 1}, [2]float64{1, 2}), nil, 1, 1},
+		// The value the loser would have needed: the same threshold.
+		{"contended edge, loser", singleEdge(1, [2]float64{1, 1}, [2]float64{1, 2}), nil, 0, 2},
+		// Everyone else routed below the threshold: r is last, at any value.
+		{"all satisfied", diamond, nil, 0, 0},
+		// The limit stops R₋ᵣ after the other two, so r has to beat
+		// request 2's ratio 0.2 on the second path: d·L/ρ* = 0.2/0.2.
+		{"iteration limit", diamond, &core.Options{MaxIterations: 2}, 0, 1},
+		// The other request is unroutable: r is the only candidate.
+		{"no routable path", unroutable, nil, 0, 0},
+		// r itself is unroutable at every value.
+		{"unroutable", unroutable, nil, 1, math.Inf(1)},
+	}
+	for _, c := range cases {
+		got, err := core.BoundedUFPCriticalCtx(context.Background(), c.inst, 0.5, c.opt, c.r)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != c.want && !(math.Abs(got-c.want) <= 1e-12*c.want) {
+			t.Fatalf("%s: critical value of request %d = %.17g, want %g", c.name, c.r, got, c.want)
+		}
+		// The counterfactual run never reads r's own declared value.
+		mod := c.inst.Clone()
+		mod.Requests[c.r].Value *= 7
+		if again, err := core.BoundedUFPCriticalCtx(context.Background(), mod, 0.5, c.opt, c.r); err != nil || again != got {
+			t.Fatalf("%s: critical value moved with the declared value: %g vs %g (%v)", c.name, again, got, err)
+		}
+	}
+	if _, err := core.BoundedUFPCriticalCtx(context.Background(), diamond, 0.5, nil, 3); err == nil {
+		t.Fatal("out-of-range request accepted")
 	}
 }

@@ -15,12 +15,14 @@ func SolveUFPCtx(ctx context.Context, inst *Instance, eps float64, opt *Options)
 	if err := validateEps(eps); err != nil {
 		return nil, err
 	}
-	return boundedUFPLoop(ctx, inst, eps/6, opt, false)
+	a, _, err := boundedUFPLoop(ctx, inst, eps/6, opt, false, -1)
+	return a, err
 }
 
 // BoundedUFPCtx is BoundedUFP under a context.
 func BoundedUFPCtx(ctx context.Context, inst *Instance, eps float64, opt *Options) (*Allocation, error) {
-	return boundedUFPLoop(ctx, inst, eps, opt, false)
+	a, _, err := boundedUFPLoop(ctx, inst, eps, opt, false, -1)
+	return a, err
 }
 
 // SolveUFPRepeatCtx is SolveUFPRepeat under a context.
@@ -28,12 +30,14 @@ func SolveUFPRepeatCtx(ctx context.Context, inst *Instance, eps float64, opt *Op
 	if err := validateEps(eps); err != nil {
 		return nil, err
 	}
-	return boundedUFPLoop(ctx, inst, eps/6, opt, true)
+	a, _, err := boundedUFPLoop(ctx, inst, eps/6, opt, true, -1)
+	return a, err
 }
 
 // BoundedUFPRepeatCtx is BoundedUFPRepeat under a context.
 func BoundedUFPRepeatCtx(ctx context.Context, inst *Instance, eps float64, opt *Options) (*Allocation, error) {
-	return boundedUFPLoop(ctx, inst, eps, opt, true)
+	a, _, err := boundedUFPLoop(ctx, inst, eps, opt, true, -1)
+	return a, err
 }
 
 // SequentialPrimalDualCtx is SequentialPrimalDual under a context.

@@ -179,6 +179,13 @@ type Allocation struct {
 	// is 0 if the algorithm does not track duals or +Inf if no finite
 	// bound was established.
 	DualBound float64
+	// Critical, if non-nil, returns the critical value of a request of
+	// the instance this allocation was computed on, under the algorithm
+	// that computed it (see BoundedUFPCriticalCtx). It is set only by the
+	// mechanism adapter (mechanism.BoundedUFPAlgCtx), which the
+	// mechanism drivers clear before returning, and it is never
+	// serialized.
+	Critical func(r int) (float64, error) `json:"-"`
 }
 
 // Selected returns a set-membership slice: sel[r] is true if request r is

@@ -119,7 +119,7 @@ func E7Truthfulness(cfg Config) (*Report, error) {
 		aucTab.Row(seed, len(out.Payments), revenue, boolMark(irOK), bestGain)
 	}
 	rep.Tables = append(rep.Tables, aucTab)
-	rep.note("misreport gains stay at ~0 (bisection tolerance): no profitable lie found, matching Theorem 2.3")
+	rep.note("misreport gains stay at ~0 (CriticalPrecision): no profitable lie found, matching Theorem 2.3")
 	return rep, nil
 }
 

@@ -10,11 +10,12 @@ import (
 )
 
 // This file holds the v1 context-first entry points. A mechanism run is
-// many algorithm re-runs (one allocation plus ~60 bisection probes per
-// winner), so cancellation has two layers: the adapted algorithm carries
-// the context into every probe's main loop, and the mechanism driver
-// additionally checks the context between winners' payment
-// computations, covering algorithms that ignore contexts.
+// many algorithm runs (one allocation plus, per winner, one
+// counterfactual run for Bounded-UFP or ~60 bisection probes for the
+// other algorithms), so cancellation has two layers: the adapted
+// algorithm carries the context into every run's main loop, and the
+// mechanism driver additionally checks the context between winners'
+// payment computations, covering algorithms that ignore contexts.
 
 // ctxErr is a non-blocking done-check on an optional context.
 func ctxErr(ctx context.Context) error {
@@ -29,14 +30,16 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// BoundedUFPAlgCtx is BoundedUFPAlg carrying ctx into every probe of a
-// critical-value search (each probe checks it once per main-loop
-// iteration). A nil ctx adapts the plain, uncancellable call. See
-// BoundedUFPAlg for the probing tunings (shared scratch pool, adaptive
+// BoundedUFPAlgCtx is BoundedUFPAlg carrying ctx into the allocation
+// run and into every counterfactual run of its allocation's Critical
+// (each run checks it once per main-loop iteration). A nil ctx adapts
+// the plain, uncancellable call. See BoundedUFPAlg for the exact
+// critical values and the tunings (shared scratch pool, adaptive
 // single-target oracle, ALT landmarks, bidirectional probes) the
-// adapter applies. The returned algorithm mutates adapter-local cache
-// state and must be driven from one goroutine at a time — which is how
-// the mechanism drivers call it.
+// adapter applies. The returned algorithm, and the Critical of its
+// allocations, mutate adapter-local cache state and must be driven from
+// one goroutine at a time — which is how the mechanism drivers call
+// them.
 func BoundedUFPAlgCtx(ctx context.Context, eps float64, opt *core.Options) UFPAlgorithm {
 	pool := pathfind.NewPool()
 	return func(inst *core.Instance) (*core.Allocation, error) {
@@ -50,18 +53,26 @@ func BoundedUFPAlgCtx(ctx context.Context, eps float64, opt *core.Options) UFPAl
 		o.Adaptive = true
 		o.Bidirectional = true
 		if o.Landmarks == nil {
-			// Bisection probes are clones sharing one frozen topology, and
-			// every probe's exponential prices start at the same floor
-			// 1/c_e — so one landmark build serves all ~60 probes of every
-			// payment. The shared registry (fingerprinting topology +
-			// weight snapshot) is what used to be an adapter-local cache:
-			// it additionally shares the tables with every session and
-			// engine shard serving the same network.
+			// Every run of a mechanism — the allocation, the
+			// counterfactual runs of its payments, the re-runs of a
+			// misreport search — shares one frozen topology, and every
+			// run's exponential prices start at the same floor 1/c_e, so
+			// one landmark build serves them all. The shared registry
+			// (fingerprinting topology + weight snapshot) additionally
+			// shares the tables with every session and engine shard
+			// serving the same network.
 			g := inst.G
 			o.Landmarks = pathfind.SharedLandmarks.Get(g, pathfind.DefaultLandmarkCount,
 				func(e int) float64 { return 1 / g.Edge(e).Capacity }, false)
 		}
-		return core.BoundedUFPCtx(ctx, inst, eps, &o)
+		a, err := core.BoundedUFPCtx(ctx, inst, eps, &o)
+		if err != nil {
+			return nil, err
+		}
+		a.Critical = func(r int) (float64, error) {
+			return core.BoundedUFPCriticalCtx(ctx, inst, eps, &o, r)
+		}
+		return a, nil
 	}
 }
 
@@ -74,10 +85,12 @@ func BoundedMUCAAlgCtx(ctx context.Context, eps float64, opt *auction.Options) A
 }
 
 // RunUFPMechanismCtx is RunUFPMechanism under a context: the context is
-// checked before each winner's critical-value search, and the run is
-// abandoned with the context's error when it is done. For cancellation
-// to also reach mid-search, build alg with BoundedUFPAlgCtx (or any
-// adapter that carries the same context).
+// checked before each winner's critical-value computation, and the run
+// is abandoned with the context's error when it is done. For
+// cancellation to also reach mid-computation, build alg with
+// BoundedUFPAlgCtx (or any adapter that carries the same context). The
+// returned allocation's Critical is nil: a cached outcome must not pin
+// the instance and the adapter's scratch pool.
 func RunUFPMechanismCtx(ctx context.Context, alg UFPAlgorithm, inst *core.Instance) (*UFPOutcome, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, fmt.Errorf("mechanism: cancelled before allocation: %w", err)
@@ -91,12 +104,13 @@ func RunUFPMechanismCtx(ctx context.Context, alg UFPAlgorithm, inst *core.Instan
 		if err := ctxErr(ctx); err != nil {
 			return nil, fmt.Errorf("mechanism: cancelled before payment for request %d: %w", p.Request, err)
 		}
-		pay, err := UFPCriticalValue(alg, inst, p.Request)
+		pay, err := criticalValue(alg, inst, a, p.Request)
 		if err != nil {
 			return nil, fmt.Errorf("mechanism: payment for request %d: %w", p.Request, err)
 		}
 		out.Payments[p.Request] = pay
 	}
+	a.Critical = nil
 	return out, nil
 }
 

@@ -2,11 +2,17 @@
 // truthful mechanisms, following the characterization the paper cites as
 // Theorem 2.3 (Lehmann-O'Callaghan-Shoham / Briest-Krysta-Vöcking): a
 // monotone and exact algorithm plus critical-value payments is
-// incentive compatible. The package computes critical values by bisection
-// over re-runs of the (deterministic) algorithm, assembles payment
-// outcomes, and provides the misreport harness used to verify
+// incentive compatible. The package computes critical values, assembles
+// payment outcomes, and provides the misreport harness used to verify
 // truthfulness empirically — and to exhibit the NON-monotonicity of
 // randomized rounding (experiment E8).
+//
+// Bounded-UFP winners get their critical values exactly, from one
+// counterfactual run each (core.BoundedUFPCriticalCtx, which the
+// BoundedUFPAlg adapter attaches to its allocations as
+// core.Allocation.Critical). Every other algorithm — the sequential
+// baseline, rounding, Bounded-MUCA, ad-hoc test algorithms — gets them by
+// bisection over re-runs of the (deterministic) algorithm.
 package mechanism
 
 import (
@@ -25,20 +31,24 @@ import (
 // function of the instance.
 type UFPAlgorithm func(inst *core.Instance) (*core.Allocation, error)
 
-// BoundedUFPAlg adapts core.BoundedUFP with fixed parameters. Critical-
-// value bisection re-runs the algorithm dozens of times per payment, so
-// the adapter tunes the options for repeated probing: unless opt
-// already carries a scratch pool it installs one shared across all of
-// the closure's runs — the solver then reuses its Dijkstra state
-// instead of re-allocating it ~60 times per payment — and it enables
-// the full single-target path oracle: the adaptive tree-vs-PathTo
-// policy (core.Options.Adaptive), ALT landmark pruning with tables
-// built once per frozen topology and shared across all probes
-// (core.Options.Landmarks — every probe's prices start at the same
-// floor 1/c_e, so the bounds hold for all of them), and bidirectional
-// probing for the remaining misses (core.Options.Bidirectional). All
-// tunings are bit-transparent: the adapted algorithm's allocations are
-// identical to a bare core.BoundedUFP.
+// BoundedUFPAlg adapts core.BoundedUFP with fixed parameters. Every
+// allocation it returns carries core.Allocation.Critical, which computes
+// a winner's exact critical value with one counterfactual run
+// (core.BoundedUFPCriticalCtx) under the same options; the mechanism
+// drivers use it instead of bisection. A mechanism run is thus one run
+// per winner on top of the allocation, so the adapter tunes the options
+// for repeated runs on one instance: unless opt already carries a
+// scratch pool it installs one shared across all of the closure's runs
+// — the solver then reuses its Dijkstra state instead of re-allocating
+// it per run — and it enables the full single-target path oracle: the
+// adaptive tree-vs-PathTo policy (core.Options.Adaptive), ALT landmark
+// pruning with tables built once per frozen topology and shared across
+// all runs (core.Options.Landmarks — every run's prices start at the
+// same floor 1/c_e, so the bounds hold for all of them), and
+// bidirectional probing for the remaining misses
+// (core.Options.Bidirectional). All tunings are bit-transparent: the
+// adapted algorithm's allocations are identical to a bare
+// core.BoundedUFP.
 func BoundedUFPAlg(eps float64, opt *core.Options) UFPAlgorithm {
 	return BoundedUFPAlgCtx(nil, eps, opt)
 }
@@ -53,7 +63,8 @@ func SequentialPrimalDualAlg(eps float64) UFPAlgorithm {
 }
 
 // CriticalPrecision is the relative bisection tolerance for critical
-// values.
+// values. Exact critical values (core.Allocation.Critical) agree with
+// bisection to within it.
 const CriticalPrecision = 1e-9
 
 // maxBisection bounds the number of algorithm re-runs per critical value;
@@ -63,20 +74,36 @@ const maxBisection = 60
 // UFPCriticalValue computes the critical value of request r: the
 // infimum declared value at which r is still selected, holding its
 // demand and all other requests fixed. The request must be selected
-// under its current declaration (that declaration brackets the search
-// from above; monotonicity guarantees a unique threshold). The result is
-// an upper bracket within CriticalPrecision relatively.
+// under its current declaration (that declaration bounds the value from
+// above; monotonicity guarantees a unique threshold). When alg's
+// allocation carries core.Allocation.Critical (BoundedUFPAlg) the value
+// is exact; otherwise it is bisected, and the result is an upper bracket
+// within CriticalPrecision relatively.
 func UFPCriticalValue(alg UFPAlgorithm, inst *core.Instance, r int) (float64, error) {
 	if r < 0 || r >= len(inst.Requests) {
 		return 0, fmt.Errorf("mechanism: request %d out of range", r)
 	}
-	hi := inst.Requests[r].Value
-	selected, err := ufpSelectedAt(alg, inst, r, hi)
+	a, err := alg(inst)
 	if err != nil {
 		return 0, err
 	}
-	if !selected {
+	if !a.Selected(len(inst.Requests))[r] {
 		return 0, errors.New("mechanism: request is not selected at its declared value")
+	}
+	return criticalValue(alg, inst, a, r)
+}
+
+// criticalValue is the critical value of request r, a winner of a =
+// alg(inst): from a.Critical when the adapter set it, capped at r's
+// declared value as bisection's bracket is, and by bisection otherwise.
+func criticalValue(alg UFPAlgorithm, inst *core.Instance, a *core.Allocation, r int) (float64, error) {
+	hi := inst.Requests[r].Value
+	if a.Critical != nil {
+		crit, err := a.Critical(r)
+		if err != nil {
+			return 0, err
+		}
+		return math.Min(crit, hi), nil
 	}
 	lo := 0.0
 	for iter := 0; iter < maxBisection && hi-lo > CriticalPrecision*hi; iter++ {
@@ -144,7 +171,7 @@ func UFPUtility(out *UFPOutcome, inst *core.Instance, r int, trueType core.Reque
 // UFPMisreportGain searches for a profitable misreport for agent r by
 // trying trials random (demand, value) declarations. It returns the
 // best utility improvement found over truthful reporting (<= ~0, up to
-// bisection tolerance, when the mechanism is truthful) and the best
+// CriticalPrecision, when the mechanism is truthful) and the best
 // misreport tried.
 func UFPMisreportGain(alg UFPAlgorithm, inst *core.Instance, r int, rng *rand.Rand, trials int) (float64, core.Request, error) {
 	truthful, err := runMechanismForAgent(alg, inst, r)
@@ -190,12 +217,13 @@ func runMechanismForAgent(alg UFPAlgorithm, inst *core.Instance, r int) (*UFPOut
 	}
 	out := &UFPOutcome{Allocation: a, Payments: make(map[int]float64)}
 	if a.Selected(len(inst.Requests))[r] {
-		pay, err := UFPCriticalValue(alg, inst, r)
+		pay, err := criticalValue(alg, inst, a, r)
 		if err != nil {
 			return nil, err
 		}
 		out.Payments[r] = pay
 	}
+	a.Critical = nil // it pins inst and the adapter's scratch pool
 	return out, nil
 }
 

@@ -75,19 +75,36 @@ func TestCriticalValueIsThreshold(t *testing.T) {
 	}
 }
 
+// requireWinnersAndPayments fails a test whose mechanism outcomes
+// select no one or charge nothing: its checks would then be vacuous.
+func requireWinnersAndPayments(t *testing.T, outs ...*UFPOutcome) {
+	t.Helper()
+	winners, paying := 0, 0
+	for _, out := range outs {
+		winners += len(out.Payments)
+		for _, pay := range out.Payments {
+			if pay > 0 {
+				paying++
+			}
+		}
+	}
+	if winners == 0 || paying == 0 {
+		t.Fatalf("vacuous: %d winners, %d positive payments", winners, paying)
+	}
+}
+
 func TestRunUFPMechanismIndividuallyRational(t *testing.T) {
-	cfg := workload.DefaultUFPConfig()
-	cfg.Requests = 15
-	cfg.B = 6
+	var outs []*UFPOutcome
 	for seed := uint64(0); seed < 4; seed++ {
-		inst, err := workload.RandomUFP(workload.NewRNG(seed+10), cfg)
+		inst, err := workload.RandomUFP(workload.NewRNG(seed+10), contendedConfig(24))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := RunUFPMechanism(BoundedUFPAlg(0.25, nil), inst)
+		out, err := RunUFPMechanism(BoundedUFPAlg(contendedEps, nil), inst)
 		if err != nil {
 			t.Fatal(err)
 		}
+		outs = append(outs, out)
 		for r, pay := range out.Payments {
 			if pay < -1e-9 {
 				t.Fatalf("negative payment %g for request %d", pay, r)
@@ -100,23 +117,26 @@ func TestRunUFPMechanismIndividuallyRational(t *testing.T) {
 			}
 		}
 	}
+	requireWinnersAndPayments(t, outs...)
 }
 
 func TestTruthfulnessNoProfitableMisreport(t *testing.T) {
 	// Theorem 2.3 / Corollary 3.2 empirically: across agents and random
-	// misreports, no declaration beats the truth (up to bisection slack).
-	cfg := workload.UFPConfig{
-		Vertices: 8, Edges: 20, Requests: 12, Directed: true,
-		B: 5, CapSpread: 0.4,
-		DemandMin: 0.3, DemandMax: 1, ValueMin: 0.5, ValueMax: 2,
-	}
-	alg := BoundedUFPAlg(0.25, nil)
+	// misreports, no declaration beats the truth (up to CriticalPrecision
+	// slack).
+	alg := BoundedUFPAlg(contendedEps, nil)
 	r := rng(5)
+	var outs []*UFPOutcome
 	for seed := uint64(0); seed < 3; seed++ {
-		inst, err := workload.RandomUFP(workload.NewRNG(seed+20), cfg)
+		inst, err := workload.RandomUFP(workload.NewRNG(seed+20), contendedConfig(30))
 		if err != nil {
 			t.Fatal(err)
 		}
+		out, err := RunUFPMechanism(alg, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
 		for agent := 0; agent < len(inst.Requests); agent += 3 {
 			gain, decl, err := UFPMisreportGain(alg, inst, agent, r, 12)
 			if err != nil {
@@ -127,6 +147,7 @@ func TestTruthfulnessNoProfitableMisreport(t *testing.T) {
 			}
 		}
 	}
+	requireWinnersAndPayments(t, outs...)
 }
 
 func TestSequentialBaselineAlsoTruthful(t *testing.T) {
@@ -152,14 +173,17 @@ func TestSequentialBaselineAlsoTruthful(t *testing.T) {
 
 func TestFindMonotonicityViolationOnBoundedUFP(t *testing.T) {
 	// Bounded-UFP is provably monotone: the search must come up empty.
-	cfg := workload.DefaultUFPConfig()
-	cfg.Requests = 20
-	cfg.B = 6
-	inst, err := workload.RandomUFP(workload.NewRNG(44), cfg)
+	inst, err := workload.RandomUFP(workload.NewRNG(44), contendedConfig(20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := FindUFPMonotonicityViolation(BoundedUFPAlg(0.25, nil), inst, rng(7), 60)
+	alg := BoundedUFPAlg(contendedEps, nil)
+	out, err := RunUFPMechanism(alg, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireWinnersAndPayments(t, out)
+	w, err := FindUFPMonotonicityViolation(alg, inst, rng(7), 60)
 	if err != nil {
 		t.Fatal(err)
 	}

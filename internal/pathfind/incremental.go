@@ -45,8 +45,8 @@ import (
 // and a small per-slot list of cached (target, path) entries, each with
 // its own used-edge bitset: a cached path whose edges did not change is
 // still canonical-optimal under (1)-(3) by the same argument. This is
-// what the mechanism's critical-value bisection and the session API's
-// streamed admits run on — their queries are dominated by sources
+// what the mechanism's Bounded-UFP runs and the session API's streamed
+// admits run on — their queries are dominated by sources
 // carrying one or a few requests, for which materializing a whole tree
 // is wasted work. Additive caches can additionally be given a
 // single-target oracle (SetOracle): ALT landmark pruning and/or
@@ -217,7 +217,7 @@ type OracleConfig struct {
 	Landmarks *Landmarks
 	// Bidirectional routes PathTo misses through the bidirectional
 	// probe (forward/backward meet plus a potential-guided forward
-	// rerun), which the mechanism's critical-value bisection enables.
+	// rerun), which the mechanism's Bounded-UFP adapter enables.
 	// KindAdditive only. The graph's reverse adjacency is frozen as a
 	// side effect.
 	Bidirectional bool

@@ -13,7 +13,7 @@ import (
 // build-time weight snapshot. It exists because a sharded deployment
 // multiplies identical landmark builds: N engine shards behind a
 // router each register the same popular topology, every mechanism
-// bisection probe spins up a per-instance context, and each would pay
+// payment run spins up a per-instance context, and each would pay
 // 2k Dijkstras for tables that are byte-identical across all of them.
 // The registry hands out one immutable table set per (topology, weight
 // snapshot, table kinds) — sessions on different *graph.Graph values
@@ -55,8 +55,8 @@ type registryEntry struct {
 const DefaultRegistryCapacity = 64
 
 // SharedLandmarks is the process-wide default registry, shared by
-// every engine shard's session manager and the mechanism's bisection
-// contexts.
+// every engine shard's session manager and the mechanism's payment
+// runs.
 var SharedLandmarks = NewLandmarkRegistry(DefaultRegistryCapacity)
 
 // NewLandmarkRegistry returns an empty registry holding at most

@@ -325,7 +325,7 @@ func (s *Scratch) tree(g *graph.Graph, kind TreeKind, src int, weight WeightFunc
 // Tree.Dist[dst]: the largest-edge-ID tie-break of every vertex on the
 // path is resolved by relaxations out of vertices no farther than dst,
 // all of which have been processed when the search stops. The mechanism
-// layer's critical-value bisection runs on this query (via
+// layer's allocation and critical-value runs use this query (via
 // Incremental.PathTo) instead of full trees.
 func (s *Scratch) ShortestPathTo(g *graph.Graph, src, dst int, weight WeightFunc) ([]int, float64, bool) {
 	return s.pathTo(g, KindAdditive, src, dst, weight, nil)
