@@ -30,9 +30,8 @@ bench-json:
 # Benchmark trend gate (the CI step): measure the full-size path suite
 # into a throwaway snapshot and fail on a >25% regression of any
 # derived speedup (IncrementalSolve, IncrementalBottleneck,
-# IncrementalBellman, SingleTarget, Landmark, Bidirectional,
-# BottleneckSingleTarget, LandmarkRebuild, AuctionReasonable,
-# SessionAdmit) relative to the committed
+# IncrementalBellman, SingleTarget, Landmark, BottleneckSingleTarget,
+# AuctionReasonable, SessionAdmit) relative to the committed
 # BENCH_path.json, and on a missing or never-shedding cluster serving
 # pass (cluster_serve). Speedup ratios and the shed contract are
 # machine-portable; absolute ns/op are not.
@@ -41,9 +40,9 @@ bench-trend:
 
 # Short native-fuzz passes (the CI step): three over the path engine's
 # canonical tie-break invariants — leximax bottleneck tree properties,
-# the ALT/bidirectional oracle's bit-identity to the plain search, and
-# the goal-directed bottleneck search's bit-identity to the plain
-# leximax search and full tree, each against fresh randomly generated
+# the ALT oracle's bit-identity to the plain search, and the
+# goal-directed bottleneck search's bit-identity to the plain leximax
+# search and full tree, each against fresh randomly generated
 # (graph, weights, bump-sequence) triples — and one over the mechanism:
 # exact Bounded-UFP critical values against bisection on small random
 # contended instances. Go allows one -fuzz target per invocation, hence
@@ -119,7 +118,8 @@ smoke-session:
 # admits on a 64-vertex path network, which gets auto-built landmark
 # tables — then assert /metrics exposes non-zero counters for the http,
 # session, engine-cache, and path-oracle subsystems, and exactly zero
-# landmark rebuilds (monotone prices never violate the tables' bounds).
+# landmark violations (monotone prices never fall below the tables'
+# floor-price bounds).
 # One shell invocation so the EXIT trap always reaps the background
 # server.
 smoke-metrics: SHELL := /bin/bash
@@ -154,7 +154,7 @@ smoke-metrics:
 	grep -Eq '^ufp_session_admits_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_engine_cache_hits_total [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_pathcache_oracle_searches [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
-	grep -q '^ufp_pathcache_landmark_rebuilds_total 0$$' /tmp/metrics-smoke.txt; \
+	grep -q '^ufp_pathcache_landmark_violations 0$$' /tmp/metrics-smoke.txt; \
 	grep -Eq '^ufp_pathcache_landmark_registry_lookups_total\{result="miss"\} [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	echo "metrics exposition smoke: ok"
 

@@ -579,13 +579,6 @@ func runSession(out io.Writer, cfg sessionBenchConfig) error {
 		fmt.Fprintf(out, "  path oracle        %d searches, %.1f%% pruned vs full tree\n",
 			info.OracleSearches, info.OraclePruneRatio*100)
 	}
-	if info.LandmarkRebuilds > 0 {
-		fmt.Fprintf(out, "  landmark rebuilds  %d (lower-bound violations; tables rebuilt against current prices)\n",
-			info.LandmarkRebuilds)
-	}
-	if info.BidiProbes > 0 {
-		fmt.Fprintf(out, "  bidi probes        %d (%d met)\n", info.BidiProbes, info.BidiMeets)
-	}
 	if info.PolicyTree+info.PolicySingle > 0 {
 		fmt.Fprintf(out, "  refresh policy     %d tree / %d single decisions\n",
 			info.PolicyTree, info.PolicySingle)

@@ -111,24 +111,22 @@
 // recomputed. Single-target queries run on a goal-directed oracle
 // (Scratch.ShortestPathTo / Incremental.PathTo) instead of whole trees,
 // accelerated by ALT landmark A* (tables whose lower bounds monotone
-// price increases never undercut), bidirectional meet-in-the-middle
-// probes over the frozen reverse CSR, minimax landmark tables that
+// price increases never undercut), minimax landmark tables that
 // goal-direct bottleneck (KindBottleneck) queries, and an adaptive
 // per-source policy that watches observed dirty rates and target
 // fan-out to choose tree rebuilds versus oracle queries
-// (Options.Adaptive / Landmarks / Bidirectional); the mechanism's
-// Bounded-UFP adapter enables them automatically for the allocation and
-// for the one counterfactual run per winner that yields its exact
-// critical value (core.BoundedUFPCriticalCtx). The landmark tables
-// are built once, at registration, from the initial prices: prices only
-// rise, so that snapshot lower-bounds every later price and the tables
-// stay valid for the whole run. They are rebuilt only if a caller ever
-// breaks the monotone contract (a weight below its recorded bound),
-// within a fixed violation budget past which they disable. One
-// immutable table set per topology is shared process-wide through
-// pathfind.SharedLandmarks (engine shards, mechanism payment runs);
-// violation rebuilds stay session-private since they snapshot
-// one session's prices. Cached answers
+// (Options.Adaptive / Landmarks); the mechanism's Bounded-UFP adapter
+// enables them automatically for the allocation and for the one
+// counterfactual run per winner that yields its exact critical value
+// (core.BoundedUFPCriticalCtx). The landmark tables are built once, at
+// the floor prices 1/c_e: prices only rise, so that snapshot
+// lower-bounds every later price and the tables stay valid for the
+// whole run, with no rebuilds. If a caller ever breaks the monotone
+// contract (a weight below its recorded bound), the violation is
+// counted and the tables disable, costing speed but never an answer.
+// One immutable table set per topology is shared process-wide through
+// pathfind.SharedLandmarks (engine shards, mechanism payment runs).
+// Cached answers
 // are bit-identical to recomputation (every kind's tie-break is
 // canonical, and each acceleration provably preserves it), so the
 // solvers' allocations do not depend on caching;

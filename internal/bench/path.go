@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -59,16 +58,6 @@ const (
 	// (see congestedInstance) is a directed random network at 8n arcs.
 	congestedSize = 2000
 	quickCongSize = 200
-
-	// The LandmarkRebuild pair's long-session network is sized so that
-	// twenty ε=1 passes of its admit stream reprice most of its edges
-	// (~76% at 400 vertices): the regime where the registration-time
-	// tables have genuinely lost their pruning power. On the waxman-1k
-	// backbone the same stream touches only ~14% of the 86k edges and
-	// the remaining flat-1/c plateaus neuter stale and rebuilt tables
-	// alike, measuring nothing.
-	rebuildSize     = 400
-	rebuildRequests = 300
 
 	// The Bellman-Ford (log-hops) pair uses a reduced hop depth and
 	// request count: a full-recompute iteration costs
@@ -135,15 +124,6 @@ func waxmanAt(size, requests int) *core.Instance {
 	return v.(*core.Instance)
 }
 
-// rebuildInstance is the LandmarkRebuild pair's long-session network
-// (see rebuildSize); quick mode reuses the quick waxman backbone.
-func rebuildInstance(quick bool) *core.Instance {
-	if quick {
-		return waxmanInstance(true)
-	}
-	return waxmanAt(rebuildSize, rebuildRequests)
-}
-
 // auctionInstance generates (and memoizes) the multi-unit auction
 // instance of the AuctionReasonable pair.
 func auctionInstance(quick bool) *auction.Instance {
@@ -165,49 +145,6 @@ func auctionInstance(quick bool) *auction.Instance {
 	}
 	v, _ := instCache.LoadOrStore(key, inst)
 	return v.(*auction.Instance)
-}
-
-// evolvedWeights streams the rebuild instance's request sequence
-// twenty times through a fresh AdmissionState at ε=1 — the
-// long-session heavy-repricing regime the landmark lifecycle targets
-// (at ε=1 the per-admit exponential bumps are strong enough that
-// sustained traffic drives most edge prices far above the
-// registration snapshot) — and reconstructs the resulting price
-// vector from the admitted ledger (y_e = (1/c_e)·e^{εB·f_e/c_e}):
-// realistic late-session weights under which registration-time
-// landmark tables have lost their pruning power. Memoized; the admit
-// stream is deterministic, so so is the vector.
-func evolvedWeights(quick bool) []float64 {
-	inst := rebuildInstance(quick)
-	g := inst.G
-	key := fmt.Sprintf("evolved/%d/%d", g.NumVertices(), len(inst.Requests))
-	if v, ok := instCache.Load(key); ok {
-		return v.([]float64)
-	}
-	const eps = 1
-	st, err := core.NewAdmissionState(g, eps, nil)
-	if err != nil {
-		panic(err)
-	}
-	for pass := 0; pass < 20; pass++ {
-		for _, r := range inst.Requests {
-			if _, err := st.Admit(r); err != nil {
-				panic(err)
-			}
-		}
-	}
-	w := make([]float64, g.NumEdges())
-	for e := range w {
-		w[e] = 1 / g.Edge(e).Capacity
-	}
-	bcap := g.MinCapacity()
-	for _, a := range st.Ledger() {
-		for _, e := range a.Path {
-			w[e] *= math.Exp(eps * bcap * a.Request.Demand / g.Edge(e).Capacity)
-		}
-	}
-	v, _ := instCache.LoadOrStore(key, w)
-	return v.([]float64)
 }
 
 // congestedNet is the directed congested-region instance of the
@@ -275,14 +212,12 @@ func congestedInstance(quick bool) *congestedNet {
 //     kind-generic cache) with caching off and on.
 //   - IncrementalBellman/{full-recompute,incremental}: the same under
 //     LogHopsRule (KindHopBounded Bellman-Ford tables).
-//   - SingleTarget/{full-tree,early-exit,landmark,bidirectional}: one
-//     (source, target) query answered four ways — a full Dijkstra tree
-//     plus PathTo; the plain early-exit single-target search
-//     (Scratch.ShortestPathTo); the ALT landmark-pruned search
-//     (Scratch.ShortestPathToALT); and the bidirectional probe
-//     (ShortestPathToBidi). The last two are the next-gen oracle the
-//     mechanism's payment runs use; all four return
-//     bit-identical paths.
+//   - SingleTarget/{full-tree,early-exit,landmark}: one (source, target)
+//     query answered three ways — a full Dijkstra tree plus PathTo; the
+//     plain early-exit single-target search (Scratch.ShortestPathTo);
+//     and the ALT landmark-pruned search (Scratch.ShortestPathToALT),
+//     the oracle the mechanism's payment runs and session admits use.
+//     All three return bit-identical paths.
 //   - BottleneckSingleTarget/{early-exit,landmark}: one bottleneck
 //     (source, target) query on the directed congested-region network
 //     (a region whose outbound arcs repriced 50×), answered by the
@@ -291,16 +226,6 @@ func congestedInstance(quick bool) *congestedNet {
 //     potential (BottleneckPathToALT); both return bit-identical
 //     paths, and the potential's strict bounds keep the goal-directed
 //     search out of the dead-end region the plain search floods.
-//   - LandmarkRebuild/{stale,rebuilt}: what Landmarks.Rebuild buys one
-//     search — ALT single-target queries under late-session exponential
-//     prices
-//     (reconstructed from a genuine twenty-pass ε=1 admit stream over
-//     the waxman-400 long-session network, which reprices most of its
-//     edges) served by the registration-time tables versus tables
-//     re-selected against the evolved prices. Both are correct (stale
-//     bounds stay admissible); the ratio is the pruning power a rebuild
-//     restores to a search in isolation. End to end, rebuilding on the
-//     admit path cost more than that, so sessions keep their tables.
 //   - AuctionReasonable/{full-recompute,incremental}: the iterative
 //     bundle-min engine (ExpBundleRule) with the dirty-request length
 //     cache off and on — identical selections, the ratio is the cache's
@@ -384,7 +309,6 @@ func PathCases(quick bool) []Case {
 			inst := waxmanInstance(quick)
 			g := inst.G
 			g.Freeze()
-			g.FreezeReverse()
 			// Perturbed prices, as after a few primal-dual iterations: flat
 			// 1/c weights put most vertices on a handful of distance
 			// plateaus, which neuters the early exit's stop condition and
@@ -396,11 +320,10 @@ func PathCases(quick bool) []Case {
 			}
 			weight := pathfind.FromSlice(w)
 			var lm *pathfind.Landmarks
-			if mode == "landmark" || mode == "bidirectional" {
+			if mode == "landmark" {
 				lm = pathfind.BuildLandmarks(g, pathfind.DefaultLandmarkCount, weight)
 			}
 			scratch := pathfind.NewScratch(g.NumVertices())
-			bwd := pathfind.NewScratch(g.NumVertices())
 			var tree *pathfind.Tree
 			reqs := inst.Requests
 			b.ReportAllocs()
@@ -413,8 +336,6 @@ func PathCases(quick bool) []Case {
 					_, _, ok = scratch.ShortestPathTo(g, r.Source, r.Target, weight)
 				case "landmark":
 					_, _, ok = scratch.ShortestPathToALT(g, r.Source, r.Target, weight, lm)
-				case "bidirectional":
-					_, _, ok = pathfind.ShortestPathToBidi(g, r.Source, r.Target, weight, lm, scratch, bwd)
 				default: // full-tree
 					tree = scratch.Dijkstra(g, r.Source, weight, tree)
 					_, ok = tree.PathTo(r.Target)
@@ -448,36 +369,6 @@ func PathCases(quick bool) []Case {
 					_, _, ok = scratch.BottleneckPathTo(g, q[0], q[1], weight)
 				}
 				if !ok {
-					b.Fatal("unreachable target")
-				}
-			}
-		}
-	}
-	landmarkRebuild := func(rebuilt bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			inst := rebuildInstance(quick)
-			g := inst.G
-			g.Freeze()
-			w := evolvedWeights(quick)
-			weight := pathfind.FromSlice(w)
-			// The tables a session built at registration: exact for the
-			// initial prices 1/c_e, ever weaker as prices rise away from
-			// them.
-			initial := make([]float64, g.NumEdges())
-			for e := range initial {
-				initial[e] = 1 / g.Edge(e).Capacity
-			}
-			lm := pathfind.BuildLandmarks(g, pathfind.DefaultLandmarkCount, pathfind.FromSlice(initial))
-			if rebuilt {
-				lm = lm.Rebuild(g, weight)
-			}
-			scratch := pathfind.NewScratch(g.NumVertices())
-			reqs := inst.Requests
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := reqs[i%len(reqs)]
-				if _, _, ok := scratch.ShortestPathToALT(g, r.Source, r.Target, weight, lm); !ok {
 					b.Fatal("unreachable target")
 				}
 			}
@@ -557,11 +448,8 @@ func PathCases(quick bool) []Case {
 		{"SingleTarget/full-tree", singleTarget("full-tree")},
 		{"SingleTarget/early-exit", singleTarget("early-exit")},
 		{"SingleTarget/landmark", singleTarget("landmark")},
-		{"SingleTarget/bidirectional", singleTarget("bidirectional")},
 		{"BottleneckSingleTarget/early-exit", bottleneckSingle("early-exit")},
 		{"BottleneckSingleTarget/landmark", bottleneckSingle("landmark")},
-		{"LandmarkRebuild/stale", landmarkRebuild(false)},
-		{"LandmarkRebuild/rebuilt", landmarkRebuild(true)},
 		{"AuctionReasonable/full-recompute", auctionSolve(true)},
 		{"AuctionReasonable/incremental", auctionSolve(false)},
 		{"SessionAdmit/full-resolve", sessionAdmit(false)},
@@ -630,19 +518,12 @@ type Snapshot struct {
 	// LandmarkSpeedup is early-exit ns/op over landmark ns/op: what ALT
 	// lower-bound pruning adds on top of the plain early-exit search.
 	LandmarkSpeedup float64 `json:"landmark_speedup,omitempty"`
-	// BidiSpeedup is early-exit ns/op over bidirectional ns/op: the
-	// two-frontier probe's win on the same queries.
-	BidiSpeedup float64 `json:"bidi_speedup,omitempty"`
 	// BottleneckSingleTargetSpeedup is bottleneck early-exit ns/op over
 	// goal-directed (minimax-landmark) ns/op for one bottleneck
 	// (source, target) query on the congested-region network — what the
 	// minimax tables add on top of the plain leximax early exit when
 	// repricing is asymmetric.
 	BottleneckSingleTargetSpeedup float64 `json:"bottleneck_single_target_speedup,omitempty"`
-	// LandmarkRebuildSpeedup is stale-table ns/op over rebuilt-table
-	// ns/op for ALT queries under late-session prices: the pruning power
-	// a rebuild restores to one search.
-	LandmarkRebuildSpeedup float64 `json:"landmark_rebuild_speedup,omitempty"`
 	// AuctionSpeedup is full-recompute ns/op over incremental ns/op for
 	// the iterative bundle-min engine — the dirty-request length cache's
 	// win.
@@ -904,15 +785,9 @@ var speedups = []struct {
 	{"Landmark", func(s *Snapshot, v float64) { s.LandmarkSpeedup = v },
 		func(s Snapshot) float64 { return s.LandmarkSpeedup },
 		"SingleTarget/early-exit", "SingleTarget/landmark"},
-	{"Bidirectional", func(s *Snapshot, v float64) { s.BidiSpeedup = v },
-		func(s Snapshot) float64 { return s.BidiSpeedup },
-		"SingleTarget/early-exit", "SingleTarget/bidirectional"},
 	{"BottleneckSingleTarget", func(s *Snapshot, v float64) { s.BottleneckSingleTargetSpeedup = v },
 		func(s Snapshot) float64 { return s.BottleneckSingleTargetSpeedup },
 		"BottleneckSingleTarget/early-exit", "BottleneckSingleTarget/landmark"},
-	{"LandmarkRebuild", func(s *Snapshot, v float64) { s.LandmarkRebuildSpeedup = v },
-		func(s Snapshot) float64 { return s.LandmarkRebuildSpeedup },
-		"LandmarkRebuild/stale", "LandmarkRebuild/rebuilt"},
 	{"AuctionReasonable", func(s *Snapshot, v float64) { s.AuctionSpeedup = v },
 		func(s Snapshot) float64 { return s.AuctionSpeedup },
 		"AuctionReasonable/full-recompute", "AuctionReasonable/incremental"},
@@ -979,7 +854,7 @@ func ReadJSON(r io.Reader) (Snapshot, error) {
 
 // Compare is the CI trend gate: it fails when any derived speedup the
 // baseline carries — IncrementalSolve, IncrementalBottleneck,
-// IncrementalBellman, SingleTarget, Landmark, Bidirectional,
+// IncrementalBellman, SingleTarget, Landmark, BottleneckSingleTarget,
 // AuctionReasonable, SessionAdmit — has regressed more than
 // maxRegression (a fraction, e.g. 0.25) relative to the baseline.
 // Ratios absent from the baseline (older snapshots predating a pair)

@@ -46,32 +46,26 @@ type Options struct {
 	// — so this exists for benchmarking the cache and as a belt-and-
 	// braces escape hatch.
 	NoIncremental bool
-	// SingleTarget enables the single-target path oracle: a source all
-	// of whose remaining requests share one target is answered by a
-	// cached early-exit search (pathfind.Incremental.PathTo) instead of
-	// a full shortest-path tree. Answers are bit-identical either way,
-	// so allocations do not depend on this flag; it pays off when most
-	// sources carry a single request — the mechanism's Bounded-UFP
-	// adapter, which re-solves the instance once per winner, enables it
-	// for exactly that reason.
-	SingleTarget bool
-	// Adaptive replaces SingleTarget's static classification (lone-target
-	// sources to the oracle, everything else to trees) with the per-slot
+	// Adaptive enables the single-target path oracle under the per-slot
 	// adaptive refresh policy (pathfind.Incremental.PreferSingle): a
-	// source fanning out to a few targets routes to single-target
-	// searches once its observed dirty rate makes whole-tree refreshes a
-	// loss. Answers are bit-identical whichever way a slot is routed, so
-	// the flag moves work, never results. Implies single-target serving;
-	// SingleTarget need not be set alongside it.
+	// source with one remaining target is answered by a cached
+	// early-exit search (pathfind.Incremental.PathTo) instead of a full
+	// shortest-path tree, and a source fanning out to a few targets
+	// routes to single-target searches once its observed dirty rate
+	// makes whole-tree refreshes a loss. Answers are bit-identical
+	// whichever way a slot is routed, so the flag moves work, never
+	// results. It pays off when most sources carry a single request —
+	// the mechanism's Bounded-UFP adapter, which re-solves the instance
+	// once per winner, enables it for exactly that reason.
 	Adaptive bool
 	// Landmarks, if non-nil, prunes the single-target oracle's searches
 	// with ALT lower bounds (pathfind.BuildLandmarks). The tables must be
 	// built on the instance's frozen graph under a lower bound of the
-	// run's weights — the initial prices 1/capacity qualify for every
-	// exponential-price run, since prices only rise. The cache
-	// re-validates the bound lazily and rebuilds (or, past the violation
-	// budget, self-disables) on violation, so a stale table costs speed,
-	// never correctness.
+	// run's weights — the floor prices 1/capacity qualify for every
+	// exponential-price run, since prices only rise, so the tables are
+	// built once and never rebuilt. The cache re-validates the bound
+	// lazily and disables the tables on a violation, so a stale table
+	// costs speed, never correctness.
 	Landmarks *pathfind.Landmarks
 	// LandmarkRegistry, if non-nil, is where automatic landmark builds
 	// (sessions past the auto-enable size, with Landmarks nil) are
@@ -80,15 +74,6 @@ type Options struct {
 	// session or per shard. The serving stack passes
 	// pathfind.SharedLandmarks.
 	LandmarkRegistry *pathfind.LandmarkRegistry
-	// OnLandmarkRebuild, if non-nil, observes every landmark rebuild
-	// with its duration in seconds (see pathfind.OracleConfig.OnRebuild)
-	// — the monotone-counter hook the session metrics feed on.
-	OnLandmarkRebuild func(seconds float64)
-	// Bidirectional routes single-target oracle misses through the
-	// bidirectional probe (meet-in-the-middle plus a potential-guided
-	// forward rerun) — the mechanism's Bounded-UFP adapter enables this
-	// for its allocation and payment runs.
-	Bidirectional bool
 	// PathPool, if non-nil, supplies the Dijkstra scratch buffers
 	// (see pathfind.Pool). Sharing one pool across many solves — as the
 	// engine does across its worker pool — keeps the per-solve allocation
@@ -125,8 +110,6 @@ func (o *Options) tieBreak() TieBreak {
 
 func (o *Options) noIncremental() bool { return o != nil && o.NoIncremental }
 
-func (o *Options) singleTarget() bool { return o != nil && (o.SingleTarget || o.Adaptive) }
-
 func (o *Options) adaptive() bool { return o != nil && o.Adaptive }
 
 func (o *Options) landmarks() *pathfind.Landmarks {
@@ -136,31 +119,11 @@ func (o *Options) landmarks() *pathfind.Landmarks {
 	return o.Landmarks
 }
 
-func (o *Options) bidirectional() bool { return o != nil && o.Bidirectional }
-
 func (o *Options) landmarkRegistry() *pathfind.LandmarkRegistry {
 	if o == nil {
 		return nil
 	}
 	return o.LandmarkRegistry
-}
-
-func (o *Options) onLandmarkRebuild() func(float64) {
-	if o == nil {
-		return nil
-	}
-	return o.OnLandmarkRebuild
-}
-
-// oracleConfig assembles the single-target oracle configuration the
-// options describe: landmarks, bidirectional probes and the rebuild
-// hook.
-func (o *Options) oracleConfig(lm *pathfind.Landmarks) pathfind.OracleConfig {
-	return pathfind.OracleConfig{
-		Landmarks:     lm,
-		Bidirectional: o.bidirectional(),
-		OnRebuild:     o.onLandmarkRebuild(),
-	}
 }
 
 func (o *Options) pathPool() *pathfind.Pool {
@@ -404,15 +367,14 @@ func boundedUFPLoop(ctx context.Context, inst *Instance, eps float64, opt *Optio
 // to recomputations (see pathfind.Incremental) — so is the candidate,
 // with or without the cache.
 type shortestPaths struct {
-	inst     *Instance
-	workers  int
-	full     bool // Options.NoIncremental: recompute all active sources per call
-	single   bool // single-target serving enabled (SingleTarget or Adaptive)
-	adaptive bool // Options.Adaptive: PreferSingle drives the routing
-	inc      *pathfind.Incremental
-	seen     []bool    // per-slot scratch for activeSlots
-	fan      [][]int32 // per-slot distinct remaining targets, capped past fanCap
-	tree     []bool    // per-slot: answer this iteration from the refreshed tree
+	inst    *Instance
+	workers int
+	full    bool // Options.NoIncremental: recompute all active sources per call
+	single  bool // Options.Adaptive: PreferSingle routes slots to single-target serving
+	inc     *pathfind.Incremental
+	seen    []bool    // per-slot scratch for activeSlots
+	fan     [][]int32 // per-slot distinct remaining targets, capped past fanCap
+	tree    []bool    // per-slot: answer this iteration from the refreshed tree
 }
 
 // fanCap bounds the distinct-target counting in activeSlots: the
@@ -426,14 +388,13 @@ func newShortestPaths(inst *Instance, opt *Options) *shortestPaths {
 		sources = append(sources, r.Source)
 	}
 	sp := &shortestPaths{
-		inst:     inst,
-		workers:  opt.workers(),
-		full:     opt.noIncremental(),
-		single:   opt.singleTarget(),
-		adaptive: opt.adaptive(),
-		inc:      pathfind.NewIncremental(inst.G, sources, opt.pathPool()),
+		inst:    inst,
+		workers: opt.workers(),
+		full:    opt.noIncremental(),
+		single:  opt.adaptive(),
+		inc:     pathfind.NewIncremental(inst.G, sources, opt.pathPool()),
 	}
-	sp.inc.SetOracle(opt.oracleConfig(opt.landmarks()))
+	sp.inc.SetOracle(pathfind.OracleConfig{Landmarks: opt.landmarks()})
 	// Each slot only ever answers queries for its own requests' targets,
 	// so restrict the recorded edge sets to those paths: repricing an
 	// edge used elsewhere in a tree no longer dirties it.
@@ -455,9 +416,9 @@ func newShortestPaths(inst *Instance, opt *Options) *shortestPaths {
 
 // bestCandidate runs the per-iteration path search: refresh the trees
 // of every source that still has remaining requests (recomputing only
-// dirty ones; in single-target mode, sources whose remaining requests
-// all share one target skip the tree and are answered by the cached
-// early-exit oracle instead), then a deterministic argmin of (d/v)·dist
+// dirty ones; in single-target mode, sources the adaptive policy routes
+// to the oracle skip the tree and are answered by the cached early-exit
+// search instead), then a deterministic argmin of (d/v)·dist
 // over remaining requests. Both query paths return bit-identical
 // (distance, path) answers, so the argmin — and hence the allocation —
 // does not depend on the mode.
@@ -533,9 +494,7 @@ func (sp *shortestPaths) invalidate(path []int) {
 // activeSlots returns the slots needing a full tree this iteration:
 // every slot with a remaining request, minus those routed to
 // single-target serving (Incremental.PathTo; sp.tree marks the rest).
-// In static single-target mode a slot routes to the oracle exactly
-// when its remaining requests all name one target; in adaptive mode
-// the per-slot policy decides from the slot's fan-out and observed
+// The per-slot policy decides from the slot's fan-out and observed
 // dirty rate (pathfind.Incremental.PreferSingle). Requests only leave
 // the pool, so a slot's fan-out only shrinks over a run.
 func (sp *shortestPaths) activeSlots(remaining []bool) []int {
@@ -566,11 +525,7 @@ func (sp *shortestPaths) activeSlots(remaining []bool) []int {
 	}
 	active := live[:0]
 	for _, slot := range live {
-		fanout := len(sp.fan[slot])
-		toTree := fanout > 1
-		if sp.adaptive {
-			toTree = !sp.inc.PreferSingle(slot, fanout)
-		}
+		toTree := !sp.inc.PreferSingle(slot, len(sp.fan[slot]))
 		sp.tree[slot] = toTree
 		if toTree {
 			active = append(active, slot)

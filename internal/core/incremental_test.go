@@ -70,8 +70,7 @@ func TestIncrementalMatchesFullRecomputeSolvers(t *testing.T) {
 
 // TestPolicyKnobsInvariance: the adaptive refresh policy only moves
 // work between tree refreshes and single-target searches — allocations
-// under it, and under static single-target routing (the policy's
-// never-warm extreme), are identical to a full recompute. The policy's
+// under it are identical to a full recompute. The policy's
 // tuning values are pathfind constants; pathfind's TestPolicyKnobs
 // drives them to both extremes.
 func TestPolicyKnobsInvariance(t *testing.T) {
@@ -85,16 +84,11 @@ func TestPolicyKnobsInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for label, opt := range map[string]*core.Options{
-			"adaptive": {Adaptive: true},
-			"static":   {SingleTarget: true},
-		} {
-			got, err := core.BoundedUFP(inst, 0.3, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			allocationsIdentical(t, "bounded/"+label, want, got)
+		got, err := core.BoundedUFP(inst, 0.3, &core.Options{Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		allocationsIdentical(t, "bounded/adaptive", want, got)
 
 		ewant, err := core.IterativePathMin(inst, core.EngineOptions{
 			Rule: &core.ExpRule{}, Eps: 0.3, UseDualStop: true, NoIncremental: true,

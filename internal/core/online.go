@@ -121,19 +121,16 @@ const autoLandmarkMinVertices = 64
 // NewAdmissionState builds the online solver state for a network. The
 // graph is validated and frozen; eps is the accuracy parameter ε in
 // (0,1]; opt supplies the shared scratch pool, the NoIncremental
-// escape hatch, and the path-oracle knobs: Options.Landmarks installs
-// caller-built ALT tables (they must lower-bound the initial prices
-// 1/c_e), Options.Bidirectional routes oracle misses through the
-// bidirectional probe. When no tables are supplied, networks of
-// autoLandmarkMinVertices or more vertices get tables built from the
-// initial prices automatically — prices only rise, so the bounds hold
-// for the state's whole life — shared through Options.LandmarkRegistry
-// when one is configured. The tables are only rebuilt if a price ever
-// falls below its recorded bound (Options.OnLandmarkRebuild observes
-// each rebuild), which monotone prices never do. Other Options fields
-// are ignored — admission
-// is a single-query step with no intra-step parallelism or tie-break
-// surface.
+// escape hatch, and the path oracle's tables: Options.Landmarks
+// installs caller-built ALT tables (they must lower-bound the floor
+// prices 1/c_e). When no tables are supplied, networks of
+// autoLandmarkMinVertices or more vertices get tables built at the
+// floor prices automatically, shared through Options.LandmarkRegistry
+// when one is configured. Prices only rise, so the bounds hold for the
+// state's whole life and the tables are never rebuilt; a price below
+// its recorded bound would disable them instead. Other Options fields
+// are ignored — admission is a single-query step with no intra-step
+// parallelism or tie-break surface.
 func NewAdmissionState(g *graph.Graph, eps float64, opt *Options) (*AdmissionState, error) {
 	if g == nil {
 		return nil, errors.New("core: admission state needs a graph")
@@ -181,7 +178,7 @@ func NewAdmissionState(g *graph.Graph, eps float64, opt *Options) (*AdmissionSta
 			lm = pathfind.BuildLandmarks(g, pathfind.DefaultLandmarkCount, pathfind.FromSlice(st.y))
 		}
 	}
-	st.inc.SetOracle(opt.oracleConfig(lm))
+	st.inc.SetOracle(pathfind.OracleConfig{Landmarks: lm})
 	return st, nil
 }
 

@@ -40,9 +40,6 @@ type State struct {
 	// Landmarks builds ALT landmark tables for the additive tree caches'
 	// single-target searches (see EngineOptions.Landmarks).
 	Landmarks bool
-	// Bidirectional routes the caches' single-target misses through the
-	// bidirectional probe (see EngineOptions.Bidirectional).
-	Bidirectional bool
 	// Pool supplies the Dijkstra/bottleneck scratch buffers shared by the
 	// rules' per-group path queries. IterativePathMin always sets it; the
 	// rules fall back to a package-shared pool when driven by hand.
@@ -191,10 +188,7 @@ func (c *treeCache) prepare(st *State, weightOf func(demand float64) pathfind.We
 					st.Inst.G, pathfind.DefaultLandmarkCount, weightOf(k),
 					c.kind == pathfind.KindBottleneck)
 			}
-			inc.SetOracle(pathfind.OracleConfig{
-				Landmarks:     lm,
-				Bidirectional: st.Bidirectional,
-			})
+			inc.SetOracle(pathfind.OracleConfig{Landmarks: lm})
 			targets := make(map[int][]int)
 			// Restrict each slot's recorded edges to the paths its own
 			// requests can query (BestLen only ever asks for a group's own
@@ -596,9 +590,6 @@ type EngineOptions struct {
 	// rules, minimax bounds for the bottleneck rule. Valid because
 	// within-run weights only rise; answers stay bit-identical.
 	Landmarks bool
-	// Bidirectional routes the caches' single-target misses through the
-	// bidirectional (forward+backward) probe; bit-identical answers.
-	Bidirectional bool
 	// PathPool, if non-nil, supplies the scratch buffers for the rules'
 	// path queries (see Options.PathPool); nil uses a shared pool.
 	PathPool *pathfind.Pool
@@ -650,7 +641,6 @@ func iterativePathMin(ctx context.Context, inst *Instance, opt EngineOptions) (*
 		NoIncremental: opt.NoIncremental,
 		Adaptive:      opt.Adaptive,
 		Landmarks:     opt.Landmarks,
-		Bidirectional: opt.Bidirectional,
 		Pool:          pool,
 	}
 	tie := opt.TieBreak

@@ -107,8 +107,8 @@ func (g *Graph) Frozen() *CSR { return g.csr.Load() }
 
 // FreezeReverse builds (once) the reverse CSR adjacency — the arcs
 // *entering* each vertex, with edge IDs preserved — and returns it.
-// Backward searches (bidirectional single-target probes) traverse it in
-// place of per-query reversal. For an undirected graph the adjacency is
+// Backward searches (the landmark tables' distances to each landmark)
+// traverse it in place of per-query reversal. For an undirected graph the adjacency is
 // symmetric, so the forward CSR itself is returned. Like Freeze it is
 // invalidated by topology mutations and safe for concurrent readers.
 func (g *Graph) FreezeReverse() *CSR {

@@ -35,8 +35,7 @@ func ctxErr(ctx context.Context) error {
 // (each run checks it once per main-loop iteration). A nil ctx adapts
 // the plain, uncancellable call. See BoundedUFPAlg for the exact
 // critical values and the tunings (shared scratch pool, adaptive
-// single-target oracle, ALT landmarks, bidirectional probes) the
-// adapter applies. The returned algorithm, and the Critical of its
+// single-target oracle, ALT landmarks) the adapter applies. The returned algorithm, and the Critical of its
 // allocations, mutate adapter-local cache state and must be driven from
 // one goroutine at a time — which is how the mechanism drivers call
 // them.
@@ -51,7 +50,6 @@ func BoundedUFPAlgCtx(ctx context.Context, eps float64, opt *core.Options) UFPAl
 			o.PathPool = pool
 		}
 		o.Adaptive = true
-		o.Bidirectional = true
 		if o.Landmarks == nil {
 			// Every run of a mechanism — the allocation, the
 			// counterfactual runs of its payments, the re-runs of a

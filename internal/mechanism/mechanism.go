@@ -40,13 +40,12 @@ type UFPAlgorithm func(inst *core.Instance) (*core.Allocation, error)
 // for repeated runs on one instance: unless opt already carries a
 // scratch pool it installs one shared across all of the closure's runs
 // — the solver then reuses its Dijkstra state instead of re-allocating
-// it per run — and it enables the full single-target path oracle: the
-// adaptive tree-vs-PathTo policy (core.Options.Adaptive), ALT landmark
-// pruning with tables built once per frozen topology and shared across
-// all runs (core.Options.Landmarks — every run's prices start at the
-// same floor 1/c_e, so the bounds hold for all of them), and
-// bidirectional probing for the remaining misses
-// (core.Options.Bidirectional). All tunings are bit-transparent: the
+// it per run — and it enables the single-target path oracle: the
+// adaptive tree-vs-PathTo policy (core.Options.Adaptive) with ALT
+// landmark pruning, the tables built once per frozen topology and
+// shared across all runs (core.Options.Landmarks — every run's prices
+// start at the same floor 1/c_e, so the bounds hold for all of them).
+// All tunings are bit-transparent: the
 // adapted algorithm's allocations are identical to a bare
 // core.BoundedUFP.
 func BoundedUFPAlg(eps float64, opt *core.Options) UFPAlgorithm {

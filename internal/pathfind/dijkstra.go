@@ -5,26 +5,19 @@
 // the paper's h1), bottleneck paths, BFS, and exhaustive simple-path
 // enumeration for exact optima on small instances.
 //
-// Single-target queries additionally run on a goal-directed oracle that
-// layers three accelerations over the early-exit search, each preserving
-// the canonical largest-edge-ID tie-break bit for bit:
+// Single-target queries additionally run on a goal-directed oracle,
+// which preserves the canonical largest-edge-ID tie-break bit for bit:
 //
 //   - ALT landmarks (Landmarks, BuildLandmarks, Scratch.
 //     ShortestPathToALT): k farthest-point landmarks with precomputed
 //     distance tables give an admissible, consistent A* heuristic via
 //     the triangle inequality. Because the exponential prices
-//     y_e = (1/c_e)·e^(εB·f_e/c_e) only ever rise, tables built from
-//     the initial weights 1/c_e stay valid lower bounds for the whole
-//     run; Incremental re-checks only the edges a price update passed
-//     to Invalidate and disables the tables outright if a weight ever
-//     falls below its recorded bound (degrading to the plain search,
-//     never to a wrong answer).
-//
-//   - Bidirectional probes (ShortestPathToBidi, OracleConfig.
-//     Bidirectional): a forward/backward Dijkstra meet over the frozen
-//     reverse CSR establishes the exact distance, then a bounded
-//     forward A* replays the canonical tie-break so the returned path
-//     is the one the plain search would pick.
+//     y_e = (1/c_e)·e^(εB·f_e/c_e) only ever rise, tables built at the
+//     floor prices 1/c_e stay valid lower bounds for the whole run, so
+//     they are built once and never rebuilt. Incremental re-checks only
+//     the edges a price update passed to Invalidate and disables the
+//     tables outright if a weight ever falls below its recorded bound
+//     (degrading to the plain search, never to a wrong answer).
 //
 //   - An adaptive refresh policy (Incremental.PreferSingle): per-slot
 //     observed dirty rates and target fan-out decide between rebuilding
@@ -32,10 +25,10 @@
 //     oracle; either route yields identical paths, so the policy only
 //     moves work.
 //
-// Incremental.SetOracle installs the landmark tables and the
-// bidirectional mode on a cache's PathTo fast path; CacheStats reports
-// the oracle's work (searches, vertices touched vs the exhaustive
-// budget, bidirectional meets, policy decisions, landmark violations).
+// Incremental.SetOracle installs the landmark tables on a cache's
+// PathTo fast path; CacheStats reports the oracle's work (searches,
+// vertices touched vs the exhaustive budget, policy decisions, landmark
+// violations).
 package pathfind
 
 import (

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"truthfulufp/internal/graph"
 )
@@ -48,10 +47,10 @@ import (
 // what the mechanism's Bounded-UFP runs and the session API's streamed
 // admits run on — their queries are dominated by sources
 // carrying one or a few requests, for which materializing a whole tree
-// is wasted work. Additive caches can additionally be given a
-// single-target oracle (SetOracle): ALT landmark pruning and/or
-// bidirectional probes, both bit-identical to the plain early-exit
-// search, so flipping them on or off never changes an answer.
+// is wasted work. A tree-kind cache can additionally be given ALT
+// landmark tables (SetOracle) that prune those searches; the pruned
+// search is bit-identical to the plain early-exit one, so installing or
+// dropping the tables never changes an answer.
 //
 // An Incremental is driven from one goroutine (Refresh parallelizes
 // internally); the cached structures are owned by the cache and valid
@@ -80,25 +79,16 @@ type Incremental struct {
 	// cached (target, path) entries, most recently used first.
 	pt [][]ptEntry
 
-	// Single-target oracle (KindAdditive, see SetOracle): shared ALT
-	// landmark tables plus the lazily checked lower-bound guard, and the
-	// bidirectional-probe switch. lmPending holds edges invalidated
-	// since the last bound check — under the cache's contract those are
-	// the only edges whose weights may have changed, so draining it
-	// (lmUsable) re-validates the bound at O(changed) instead of
-	// O(edges).
+	// Single-target oracle (see SetOracle): shared ALT landmark tables
+	// plus the lazily checked lower-bound guard. lmPending holds edges
+	// invalidated since the last bound check — under the cache's contract
+	// those are the only edges whose weights may have changed, so
+	// draining it (lmUsable) re-validates the bound at O(changed) instead
+	// of O(edges).
 	lm         *Landmarks
 	lmOK       bool
 	lmCheckAll bool
 	lmPending  []int32
-	bidi       bool
-
-	// Landmark lifecycle: a lower-bound violation rebuilds the tables
-	// against the current weights, up to DefaultStaleViolations times
-	// since SetOracle (see lmViolated).
-	onRebuild      func(seconds float64)
-	lmRebuilds     int64 // landmark table rebuilds (violation-triggered)
-	lmViolRebuilds int   // violation-triggered rebuilds since SetOracle
 
 	// Per-slot adaptive-policy counters: how often the slot was demanded
 	// (Refresh-active or queried) and how often it was dirty when
@@ -116,11 +106,9 @@ type Incremental struct {
 	ptHits     int64 // PathTo answers served from a fresh tree or cached path
 	ptMisses   int64 // PathTo answers that ran an early-exit search
 
-	altSearches  int64 // single-target searches that ran ALT- or bidi-pruned
+	altSearches  int64 // single-target searches that ran ALT-pruned
 	altTouched   int64 // vertices touched by those searches
 	altBudget    int64 // vertices a full tree build would touch instead
-	bidiProbes   int64 // bidirectional probes run
-	bidiMeets    int64 // probes whose frontiers bridged (reachable target)
 	policyTree   int64 // PreferSingle decisions to refresh the tree
 	policySingle int64 // PreferSingle decisions to route to single-target search
 	lmViolations int64 // landmark lower-bound violations observed
@@ -207,38 +195,26 @@ type OracleConfig struct {
 	// bounds on KindBottleneck caches (the set must carry the minimax
 	// tables, Landmarks.WithBottleneck, or it is ignored there). The
 	// tables must have been built on the same frozen topology and on a
-	// lower bound of every weight function the cache will see; the cache
-	// re-validates the bound lazily against invalidated edges and, if it
-	// is ever violated (counting CacheStats.LandmarkViolations), rebuilds
-	// the tables from the current weights — or self-disables once the
-	// DefaultStaleViolations budget is spent — so a contract slip
-	// degrades speed, not answers. Under the solvers' monotone prices no
-	// violation ever happens, so the tables are built once and kept.
+	// lower bound of every weight function the cache will see. The
+	// solvers build them at the floor prices 1/c_e, which prices never
+	// fall below, so one build serves the whole run. The cache still
+	// re-validates the bound lazily against invalidated edges: a
+	// violation is counted (CacheStats.LandmarkViolations) and disables
+	// the tables, so a contract slip costs speed and never changes an
+	// answer.
 	Landmarks *Landmarks
-	// Bidirectional routes PathTo misses through the bidirectional
-	// probe (forward/backward meet plus a potential-guided forward
-	// rerun), which the mechanism's Bounded-UFP adapter enables.
-	// KindAdditive only. The graph's reverse adjacency is frozen as a
-	// side effect.
-	Bidirectional bool
-	// OnRebuild, when non-nil, is called after every landmark rebuild
-	// with the rebuild's wall-clock duration in seconds — the serving
-	// stack's hook for monotone rebuild counters and latency histograms.
-	OnRebuild func(seconds float64)
 }
 
 // SetOracle installs the single-target oracle configuration on a
-// tree-kind cache — ALT landmarks and/or bidirectional probes on
-// KindAdditive, minimax-ALT landmarks on KindBottleneck (a set without
-// the minimax tables is ignored there, as is Bidirectional, which has
-// no bottleneck form). KindHopBounded ignores it. Every oracle path is
-// bit-identical to the plain search, so SetOracle never invalidates
+// tree-kind cache — ALT landmarks on KindAdditive, minimax-ALT
+// landmarks on KindBottleneck (a set without the minimax tables is
+// ignored there). KindHopBounded ignores it. The pruned search is
+// bit-identical to the plain one, so SetOracle never invalidates
 // cached state and may be called at any point between queries.
 func (inc *Incremental) SetOracle(cfg OracleConfig) {
 	if inc.kind == KindHopBounded {
 		return
 	}
-	inc.onRebuild = cfg.OnRebuild
 	lm := cfg.Landmarks
 	if inc.kind == KindBottleneck && lm != nil && !lm.HasBottleneck() {
 		lm = nil // bottleneck goal-direction needs the minimax tables
@@ -250,11 +226,6 @@ func (inc *Incremental) SetOracle(cfg OracleConfig) {
 	inc.lmOK = lm != nil
 	inc.lmCheckAll = false
 	inc.lmPending = inc.lmPending[:0]
-	inc.lmViolRebuilds = 0
-	inc.bidi = cfg.Bidirectional && inc.kind == KindAdditive
-	if inc.bidi {
-		inc.g.FreezeReverse()
-	}
 }
 
 // AddSource appends a source vertex to the cache and returns its slot
@@ -553,8 +524,8 @@ func (inc *Incremental) rebuildUses(s int) {
 // a cached (target, path) entry still clean under the invalidation
 // bitsets answers (up to ptCapacity targets are cached per slot, LRU);
 // otherwise a single-target search runs — the plain early-exit search,
-// or its ALT-pruned / bidirectional form when SetOracle configured one
-// — and its result is cached with the path's own edge set. Unreachable
+// or its ALT-pruned form when SetOracle installed landmark tables — and
+// its result is cached with the path's own edge set. Unreachable
 // results are cached with an empty edge set: under monotone weights an
 // unreachable target can never become reachable, so the entry stays
 // valid until InvalidateAll. Like Refresh, PathTo must be driven from
@@ -595,28 +566,14 @@ func (inc *Incremental) PathTo(slot, target int, weight WeightFunc) ([]int, floa
 	var path []int
 	var dist float64
 	var ok bool
-	touched := 0
-	switch {
-	case inc.bidi:
-		sc2 := inc.pool.Get(n)
-		var bst bidiStats
-		path, dist, ok, bst = bidiPathTo(inc.g, inc.sources[slot], target, weight, lm, sc, sc2)
-		inc.pool.Put(sc2)
-		inc.bidiProbes++
-		if bst.met {
-			inc.bidiMeets++
-		}
-		touched = bst.touched
-	case inc.kind == KindBottleneck:
+	if inc.kind == KindBottleneck {
 		path, dist, ok = sc.BottleneckPathToALT(inc.g, inc.sources[slot], target, weight, lm)
-		touched = sc.Touched()
-	default:
+	} else {
 		path, dist, ok = sc.ShortestPathToALT(inc.g, inc.sources[slot], target, weight, lm)
-		touched = sc.Touched()
 	}
-	if inc.bidi || lm != nil {
+	if lm != nil {
 		inc.altSearches++
-		inc.altTouched += int64(touched)
+		inc.altTouched += int64(sc.Touched())
 		inc.altBudget += int64(n)
 	}
 	inc.pool.Put(sc)
@@ -630,9 +587,8 @@ func (inc *Incremental) PathTo(slot, target int, weight WeightFunc) ([]int, floa
 // first draining the pending bound checks: every edge invalidated
 // since the last drain (the only edges whose weights may have changed,
 // per the cache contract) is compared against the build-time lower
-// bound, and any violation is handed to lmViolated — which either
-// rebuilds the tables in place (keeping the oracle usable) or disables
-// them.
+// bound, and any violation is handed to lmViolated, which disables the
+// tables.
 func (inc *Incremental) lmUsable(weight WeightFunc) bool {
 	if !inc.lmOK || inc.lm == nil {
 		return false
@@ -642,7 +598,7 @@ func (inc *Incremental) lmUsable(weight WeightFunc) bool {
 		inc.lmPending = inc.lmPending[:0]
 		for e, m := 0, inc.g.NumEdges(); e < m; e++ {
 			if weight(e) < inc.lm.lb[e] {
-				return inc.lmViolated(weight)
+				return inc.lmViolated()
 			}
 		}
 		return true
@@ -651,7 +607,7 @@ func (inc *Incremental) lmUsable(weight WeightFunc) bool {
 		for _, e := range inc.lmPending {
 			if weight(int(e)) < inc.lm.lb[e] {
 				inc.lmPending = inc.lmPending[:0]
-				return inc.lmViolated(weight)
+				return inc.lmViolated()
 			}
 		}
 		inc.lmPending = inc.lmPending[:0]
@@ -659,38 +615,13 @@ func (inc *Incremental) lmUsable(weight WeightFunc) bool {
 	return true
 }
 
-// lmViolated reacts to a lower-bound violation. Within the
-// DefaultStaleViolations budget the tables are rebuilt against the
-// current weights — trivially a valid lower bound of themselves, so the
-// oracle stays usable and the violation costs one table build; past the
-// budget the tables are permanently disabled. Either way the violation
-// is counted.
-func (inc *Incremental) lmViolated(weight WeightFunc) bool {
+// lmViolated reacts to a lower-bound violation: it counts the
+// violation and permanently disables the tables, so every later query
+// runs the plain search.
+func (inc *Incremental) lmViolated() bool {
 	inc.lmViolations++
-	if inc.lmViolRebuilds < DefaultStaleViolations {
-		inc.lmViolRebuilds++
-		inc.rebuildLandmarks(weight)
-		return true
-	}
 	inc.lmOK = false
 	return false
-}
-
-// rebuildLandmarks re-selects and rebuilds the landmark tables against
-// the current weight snapshot (Landmarks.Rebuild — minimax tables
-// included iff the old set had them), clears the pending bound checks
-// (the new lower bound is the current weights), and reports the
-// rebuild to the OnRebuild hook.
-func (inc *Incremental) rebuildLandmarks(weight WeightFunc) {
-	start := time.Now()
-	inc.lm = inc.lm.Rebuild(inc.g, weight)
-	inc.lmOK = true
-	inc.lmCheckAll = false
-	inc.lmPending = inc.lmPending[:0]
-	inc.lmRebuilds++
-	if inc.onRebuild != nil {
-		inc.onRebuild(time.Since(start).Seconds())
-	}
 }
 
 // storePath caches a single-target answer in the slot's entry list:
@@ -745,14 +676,6 @@ const (
 	warmupDemands   = 4
 	singleCostRatio = 0.25
 )
-
-// DefaultStaleViolations is the landmark violation-rebuild budget: how
-// many lower-bound violations may rebuild the tables (safe — the
-// violating weights become the new lower bound) before the oracle
-// permanently self-disables instead. Monotone prices never violate the
-// bound, so the budget is the recovery path for a broken contract, not
-// a tuning knob.
-const DefaultStaleViolations = 4
 
 // PreferSingle is the adaptive refresh policy: it reports whether a
 // slot currently fanning out to fanout distinct targets should be
@@ -812,30 +735,25 @@ type CacheStats struct {
 	// search.
 	PathToHits   int64
 	PathToMisses int64
-	// AltSearches counts the PathTo misses answered by the configured
-	// oracle (ALT-pruned or bidirectional search); AltTouched is how
-	// many vertices those searches touched, against AltBudget — the
-	// vertices full tree builds would have touched — so
-	// 1 - AltTouched/AltBudget is the oracle's observed prune rate.
+	// AltSearches counts the PathTo misses answered by the ALT-pruned
+	// search; AltTouched is how many vertices those searches touched,
+	// against AltBudget — the vertices full tree builds would have
+	// touched — so 1 - AltTouched/AltBudget is the oracle's observed
+	// prune rate.
 	AltSearches int64
 	AltTouched  int64
 	AltBudget   int64
-	// BidiProbes / BidiMeets count bidirectional probes and how many of
-	// them bridged their forward and backward frontiers (an unbridged
-	// probe certifies unreachability).
-	BidiProbes int64
-	BidiMeets  int64
 	// PolicyTree / PolicySingle count PreferSingle's adaptive refresh
 	// decisions.
 	PolicyTree   int64
 	PolicySingle int64
 	// LandmarkViolations counts lower-bound violations (zero under the
-	// solvers' monotone-price contract); each one either triggered a
-	// rebuild or, past the DefaultStaleViolations budget, disabled the
+	// solvers' monotone-price contract); the first one disables the
 	// tables.
 	LandmarkViolations int64
-	// LandmarkRebuilds counts landmark table rebuilds, all of them
-	// violation-triggered (so also zero under monotone prices).
+	// LandmarkRebuilds always reads 0: landmark tables are never
+	// rebuilt. The field stays only because the perfbench module reads
+	// it for its rebuild-count check.
 	LandmarkRebuilds int64
 }
 
@@ -851,12 +769,9 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.AltSearches += o.AltSearches
 	s.AltTouched += o.AltTouched
 	s.AltBudget += o.AltBudget
-	s.BidiProbes += o.BidiProbes
-	s.BidiMeets += o.BidiMeets
 	s.PolicyTree += o.PolicyTree
 	s.PolicySingle += o.PolicySingle
 	s.LandmarkViolations += o.LandmarkViolations
-	s.LandmarkRebuilds += o.LandmarkRebuilds
 }
 
 // DirtyRatio is the fraction of demanded structures that had to be
@@ -872,8 +787,7 @@ func (s CacheStats) DirtyRatio() float64 {
 
 // PruneRatio is the fraction of full-tree search work the oracle's
 // pruned searches avoided: 1 - AltTouched/AltBudget. It is 0 when no
-// oracle search has run and can dip negative if bidirectional probes
-// touch more vertices than the tree builds they replace.
+// oracle search has run.
 func (s CacheStats) PruneRatio() float64 {
 	if s.AltBudget == 0 {
 		return 0
@@ -894,11 +808,8 @@ func (inc *Incremental) CacheStats() CacheStats {
 		AltSearches:        inc.altSearches,
 		AltTouched:         inc.altTouched,
 		AltBudget:          inc.altBudget,
-		BidiProbes:         inc.bidiProbes,
-		BidiMeets:          inc.bidiMeets,
 		PolicyTree:         inc.policyTree,
 		PolicySingle:       inc.policySingle,
 		LandmarkViolations: inc.lmViolations,
-		LandmarkRebuilds:   inc.lmRebuilds,
 	}
 }

@@ -23,9 +23,9 @@ import (
 //
 // The exponential-price solvers qualify structurally: prices start at
 // 1/capacity and only ever rise, so tables built on the initial prices
-// stay valid lower bounds for the whole run — no rebuild is ever needed
-// unless weights are swapped wholesale (which Incremental detects, see
-// OracleConfig).
+// stay valid lower bounds for the whole run, so one build serves it.
+// Incremental still checks the bound and disables the tables if a
+// weight ever falls below it (see OracleConfig).
 //
 // The same tables extend to the bottleneck (minimax) kind: the minimax
 // "triangle inequality" d_b(L,t) <= max(d_b(L,u), d_b(u,t)) yields, for
@@ -168,26 +168,6 @@ func (lm *Landmarks) WithBottleneck(g *graph.Graph) *Landmarks {
 // HasBottleneck reports whether the minimax tables were built, i.e.
 // whether this set can goal-direct KindBottleneck searches.
 func (lm *Landmarks) HasBottleneck() bool { return lm.bfwd != nil }
-
-// Rebuild re-selects landmarks and rebuilds every table against the
-// current weight snapshot, returning a fresh set (lm is untouched —
-// concurrent readers of the old tables stay valid). Under the monotone
-// repricing contract the current prices are a lower bound on all future
-// prices, so a rebuild is safe at any point in a run and restores the
-// pruning power the original 1/capacity snapshot has lost. The new set
-// keeps the old one's landmark count and carries minimax tables iff
-// the old set had them.
-func (lm *Landmarks) Rebuild(g *graph.Graph, weight WeightFunc) *Landmarks {
-	k := len(lm.ids)
-	if k == 0 {
-		k = DefaultLandmarkCount
-	}
-	nl := BuildLandmarks(g, k, weight)
-	if lm.HasBottleneck() {
-		nl.WithBottleneck(g)
-	}
-	return nl
-}
 
 // rebind returns a shallow copy of lm whose tables are shared but whose
 // CSR pointer is csr — used by LandmarkRegistry to hand one table set

@@ -1,6 +1,7 @@
 package pathfind
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -42,38 +43,6 @@ func TestQuickALTMatchesShortestPathTo(t *testing.T) {
 	}
 }
 
-// TestQuickBidiMatchesShortestPathTo: the bidirectional probe — with
-// and without landmark tightening — is bit-identical to the plain
-// early-exit search under the same monotone-bump regime.
-func TestQuickBidiMatchesShortestPathTo(t *testing.T) {
-	f := func(seed uint64, n, m uint8) bool {
-		rng := rand.New(rand.NewPCG(seed, seed^99))
-		nv := 3 + int(n%12)
-		g := graph.RandomStronglyConnected(rng, nv, nv+int(m%30), 1, 2)
-		w := plateauWeights(rng, g.NumEdges())
-		lm := BuildLandmarks(g, 3, FromSlice(w))
-		sc, fs, bs := NewScratch(nv), NewScratch(nv), NewScratch(nv)
-		for round := 0; round < 3; round++ {
-			for src := 0; src < nv; src++ {
-				for dst := 0; dst < nv; dst++ {
-					wantPath, wantDist, wantOK := sc.ShortestPathTo(g, src, dst, FromSlice(w))
-					for _, tables := range []*Landmarks{nil, lm} {
-						path, dist, ok, _ := bidiPathTo(g, src, dst, FromSlice(w), tables, fs, bs)
-						if ok != wantOK || (ok && (dist != wantDist || !reflect.DeepEqual(path, wantPath))) {
-							return false
-						}
-					}
-				}
-			}
-			monotoneBump(rng, w)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickLandmarkBoundAdmissible: every landmark lower bound is at
 // most the true distance under the build weights and stays admissible
 // after monotone bumps (including +Inf residual flips).
@@ -103,8 +72,8 @@ func TestQuickLandmarkBoundAdmissible(t *testing.T) {
 	}
 }
 
-// TestIncrementalOracleEquivalence: an additive Incremental with the
-// full oracle (landmarks + bidirectional probes) answers every PathTo
+// TestIncrementalOracleEquivalence: an additive Incremental with
+// landmark tables answers every PathTo
 // identically to an oracle-less twin through a monotone bump sequence,
 // with the landmark bound never violated and the oracle actually
 // exercised.
@@ -116,10 +85,7 @@ func TestIncrementalOracleEquivalence(t *testing.T) {
 	sources := []int{0, 3, 7, 11}
 	plain := NewIncremental(g, sources, nil)
 	oracle := NewIncremental(g, sources, nil)
-	oracle.SetOracle(OracleConfig{
-		Landmarks:     BuildLandmarks(g, 4, FromSlice(base)),
-		Bidirectional: true,
-	})
+	oracle.SetOracle(OracleConfig{Landmarks: BuildLandmarks(g, 4, FromSlice(base))})
 	for round := 0; round < 20; round++ {
 		for slot := range sources {
 			dst := rng.IntN(g.NumVertices())
@@ -138,80 +104,62 @@ func TestIncrementalOracleEquivalence(t *testing.T) {
 	if st.LandmarkViolations != 0 {
 		t.Fatalf("monotone bumps must never violate the landmark bound: %+v", st)
 	}
-	if st.AltSearches == 0 || st.BidiProbes == 0 {
+	if st.AltSearches == 0 {
 		t.Fatalf("oracle never exercised: %+v", st)
 	}
 }
 
-// TestOracleRebuildsOnBoundViolation: lowering a weight below the
-// landmark build bound (a contract violation) now triggers an in-place
-// rebuild against the current weights via the lazy pending-edge check —
-// the oracle stays enabled and answers still match a fresh search.
-func TestOracleRebuildsOnBoundViolation(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 9))
-	g := graph.RandomStronglyConnected(rng, 20, 60, 1, 2)
-	w := plateauWeights(rng, g.NumEdges())
-	inc := NewIncremental(g, []int{0}, nil)
-	inc.SetOracle(OracleConfig{Landmarks: BuildLandmarks(g, 3, FromSlice(w))})
-	if _, _, ok := inc.PathTo(0, g.NumVertices()-1, FromSlice(w)); !ok {
-		t.Fatal("strongly connected graph: target must be reachable")
-	}
-	w[0] /= 4 // below the build-time lower bound
-	inc.Invalidate([]int{0})
-	sc := NewScratch(g.NumVertices())
-	for dst := 0; dst < g.NumVertices(); dst++ {
-		wantPath, wantDist, wantOK := sc.ShortestPathTo(g, 0, dst, FromSlice(w))
-		path, dist, ok := inc.PathTo(0, dst, FromSlice(w))
-		if ok != wantOK || dist != wantDist || !reflect.DeepEqual(path, wantPath) {
-			t.Fatalf("dst %d: post-violation answer diverged", dst)
-		}
-	}
-	st := inc.CacheStats()
-	if st.LandmarkViolations != 1 {
-		t.Fatalf("violation not detected: %+v", st)
-	}
-	if st.LandmarkRebuilds != 1 {
-		t.Fatalf("violation must rebuild, not disable: %+v", st)
-	}
-	if !inc.lmOK {
-		t.Fatalf("oracle disabled despite rebuild budget: %+v", st)
-	}
-}
-
-// TestOracleDisablesOnViolationPastBudget: violations rebuild the
-// tables, each rebuild reaching the OnRebuild hook, until the
-// DefaultStaleViolations budget runs out; the next violation disables
-// the tables for good. Answers match the plain search throughout.
+// TestOracleDisablesOnViolationPastBudget: there is no rebuild budget,
+// so the first violation is past it. Lowering one weight below the
+// landmark build bound (a contract violation) is caught by the lazy
+// pending-edge check, counted once, and disables the tables for good;
+// every PathTo before and after stays bit-identical to an oracle-less
+// twin.
 func TestOracleDisablesOnViolationPastBudget(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	g := graph.RandomStronglyConnected(rng, 20, 60, 1, 2)
-	inc := NewIncremental(g, []int{0}, nil)
 	w := plateauWeights(rng, g.NumEdges())
-	var hookCalls int64
-	inc.SetOracle(OracleConfig{
-		Landmarks: BuildLandmarks(g, 3, FromSlice(w)),
-		OnRebuild: func(float64) { hookCalls++ },
-	})
-	sc := NewScratch(g.NumVertices())
-	for i := 0; i <= DefaultStaleViolations; i++ {
-		dst := (i + 1) % g.NumVertices()
-		w[i] /= 4 // violate one build-time bound per round
-		inc.Invalidate([]int{i})
-		wantPath, wantDist, wantOK := sc.ShortestPathTo(g, 0, dst, FromSlice(w))
-		path, dist, ok := inc.PathTo(0, dst, FromSlice(w))
-		if ok != wantOK || dist != wantDist || !reflect.DeepEqual(path, wantPath) {
-			t.Fatalf("round %d: answer diverged", i)
+	sources := []int{0, 5, 12}
+	plain := NewIncremental(g, sources, nil)
+	oracle := NewIncremental(g, sources, nil)
+	oracle.SetOracle(OracleConfig{Landmarks: BuildLandmarks(g, 3, FromSlice(w))})
+	same := func(when string) {
+		t.Helper()
+		for slot := range sources {
+			for dst := 0; dst < g.NumVertices(); dst++ {
+				p1, d1, ok1 := plain.PathTo(slot, dst, FromSlice(w))
+				p2, d2, ok2 := oracle.PathTo(slot, dst, FromSlice(w))
+				if ok1 != ok2 || d1 != d2 || !reflect.DeepEqual(p1, p2) {
+					t.Fatalf("%s: slot %d dst %d: plain (%v,%v,%v) != oracle (%v,%v,%v)",
+						when, slot, dst, p1, d1, ok1, p2, d2, ok2)
+				}
+			}
 		}
 	}
-	st := inc.CacheStats()
-	if st.LandmarkRebuilds != int64(DefaultStaleViolations) {
-		t.Fatalf("want %d violation rebuilds, got %+v", DefaultStaleViolations, st)
+	same("before the violation")
+	if st := oracle.CacheStats(); st.AltSearches == 0 || st.LandmarkViolations != 0 {
+		t.Fatalf("tables must prune while the bound holds: %+v", st)
 	}
-	if hookCalls != st.LandmarkRebuilds {
-		t.Fatalf("OnRebuild saw %d calls, counter says %d", hookCalls, st.LandmarkRebuilds)
+	w[0] /= 4 // below the build-time lower bound
+	plain.Invalidate([]int{0})
+	oracle.Invalidate([]int{0})
+	same("at the violation")
+	pruned := oracle.CacheStats().AltSearches
+	for round := 0; round < 5; round++ {
+		touched := monotoneBump(rng, w)
+		plain.Invalidate(touched)
+		oracle.Invalidate(touched)
+		same(fmt.Sprintf("round %d after the violation", round))
 	}
-	if inc.lmOK {
-		t.Fatal("tables must disable once the violation budget is spent")
+	st := oracle.CacheStats()
+	if st.LandmarkViolations != 1 {
+		t.Fatalf("want exactly one counted violation: %+v", st)
+	}
+	if oracle.lmOK || st.AltSearches != pruned {
+		t.Fatalf("tables must stay disabled after a violation: %+v", st)
+	}
+	if st.LandmarkRebuilds != 0 {
+		t.Fatalf("tables are never rebuilt: %+v", st)
 	}
 }
 

@@ -26,12 +26,6 @@ import (
 // collision costs one O(edges) comparison, never a wrong table.
 // Entries are kept in most-recently-used order and the least recently
 // used is evicted past the capacity.
-//
-// Violation rebuilds (Incremental's recovery path when a weight falls
-// below its recorded bound) bypass the registry on purpose: a rebuilt
-// set is bound to one session's private price trajectory, which no
-// other session will ever fingerprint-match, so caching it would only
-// churn the LRU.
 type LandmarkRegistry struct {
 	mu      sync.Mutex
 	entries []*registryEntry // most-recently-used first

@@ -68,9 +68,9 @@ func TestCatalogIncrementalEquivalence(t *testing.T) {
 				if err := incr.CheckFeasible(inst, false); err != nil {
 					t.Fatal(err)
 				}
-				// The single-target oracle (mechanism-bisection mode) is
-				// bit-transparent too.
-				single, err := core.SolveUFP(inst, eps, &core.Options{SingleTarget: true})
+				// The adaptive single-target oracle (the mechanism
+				// adapter's mode) is bit-transparent too.
+				single, err := core.SolveUFP(inst, eps, &core.Options{Adaptive: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,8 +117,8 @@ func TestCatalogIncrementalEquivalence(t *testing.T) {
 }
 
 // TestCatalogOracleEquivalence is the next-gen path oracle's
-// acceptance gate over the full S1 catalog: ALT landmark pruning,
-// bidirectional probes, and the adaptive refresh policy produce
+// acceptance gate over the full S1 catalog: ALT landmark pruning and
+// the adaptive refresh policy produce
 // byte-identical results to the uncached, unpruned solver — for the
 // batch solver, the reasonable iterative engine, and the online
 // admission path. The oracle may only move work, never answers.
@@ -142,7 +142,7 @@ func TestCatalogOracleEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, err := core.SolveUFP(inst, eps, &core.Options{
-					Adaptive: true, Landmarks: lm, Bidirectional: true,
+					Adaptive: true, Landmarks: lm,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -160,7 +160,7 @@ func TestCatalogOracleEquivalence(t *testing.T) {
 				}
 				egot, err := core.IterativePathMin(inst, core.EngineOptions{
 					Rule: &core.ExpRule{}, Eps: eps, UseDualStop: true,
-					Adaptive: true, Landmarks: true, Bidirectional: true,
+					Adaptive: true, Landmarks: true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -174,9 +174,7 @@ func TestCatalogOracleEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ogot, err := core.OnlineAdmission(inst, eps, &core.Options{
-					Landmarks: lm, Bidirectional: true,
-				})
+				ogot, err := core.OnlineAdmission(inst, eps, &core.Options{Landmarks: lm})
 				if err != nil {
 					t.Fatal(err)
 				}

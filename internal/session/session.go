@@ -106,15 +106,6 @@ type Manager struct {
 	// registry by RegisterMetrics.
 	admitLatency *metrics.Histogram
 	quoteLatency *metrics.Histogram
-
-	// lmRebuilds / lmRebuildLatency observe the landmark lifecycle: a
-	// lower-bound violation rebuilds a session's tables in place, and a
-	// per-session CacheStats sum would shrink on eviction — so the
-	// rebuild count and duration are accumulated manager-side through
-	// core.Options.OnLandmarkRebuild, keeping the exported counter
-	// monotone.
-	lmRebuilds       stats.Counter
-	lmRebuildLatency *metrics.Histogram
 }
 
 // NewManager builds a Manager.
@@ -127,11 +118,10 @@ func NewManager(cfg Config) *Manager {
 		pool = pathfind.NewPool()
 	}
 	m := &Manager{
-		cfg:              cfg,
-		pool:             pool,
-		admitLatency:     metrics.NewHistogram(metrics.DefLatencyBuckets),
-		quoteLatency:     metrics.NewHistogram(metrics.DefLatencyBuckets),
-		lmRebuildLatency: metrics.NewHistogram(metrics.DefLatencyBuckets),
+		cfg:          cfg,
+		pool:         pool,
+		admitLatency: metrics.NewHistogram(metrics.DefLatencyBuckets),
+		quoteLatency: metrics.NewHistogram(metrics.DefLatencyBuckets),
 	}
 	m.sessions = lru.New(cfg.MaxSessions, func(_ string, s *Session) {
 		s.markClosed()
@@ -150,12 +140,6 @@ func (m *Manager) Register(g *graph.Graph, eps float64) (*Session, error) {
 		// Auto-built landmark tables come from the process-wide registry,
 		// so shards and sessions serving the same topology share one set.
 		LandmarkRegistry: pathfind.SharedLandmarks,
-		// The hook fires under the session's lock mid-Admit; both sinks
-		// are concurrency-safe, so it stays cheap and lock-free here.
-		OnLandmarkRebuild: func(seconds float64) {
-			m.lmRebuilds.Inc()
-			m.lmRebuildLatency.Observe(seconds)
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -296,26 +280,16 @@ func (m *Manager) RegisterMetrics(reg *metrics.Registry) {
 		func(s pathfind.CacheStats) float64 { return float64(s.PathToMisses) })
 	pcGauge("ufp_pathcache_dirty_ratio", "Fraction of demanded structures recomputed (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.DirtyRatio() })
-	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT/bidirectional oracle (live sessions).",
+	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT landmark oracle (live sessions).",
 		func(s pathfind.CacheStats) float64 { return float64(s.AltSearches) })
 	pcGauge("ufp_pathcache_oracle_prune_ratio", "Fraction of the full-tree vertex budget the oracle's searches skipped (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.PruneRatio() })
-	pcGauge("ufp_pathcache_bidi_probes", "Bidirectional probes run (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiProbes) })
-	pcGauge("ufp_pathcache_bidi_meets", "Bidirectional probes whose frontiers bridged (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiMeets) })
 	policy := reg.NewGaugeFamily("ufp_pathcache_policy_decisions",
 		"Adaptive refresh-policy decisions, split by chosen serving mode (live sessions).", "mode")
 	policy.GaugeFunc(func() float64 { return float64(m.PathCacheStats().PolicyTree) }, "tree")
 	policy.GaugeFunc(func() float64 { return float64(m.PathCacheStats().PolicySingle) }, "single")
-	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; each triggers a rebuild, or disables the tables past the budget).",
+	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; 0 under monotone prices; each disables its session's tables).",
 		func(s pathfind.CacheStats) float64 { return float64(s.LandmarkViolations) })
-	counter("ufp_pathcache_landmark_rebuilds_total",
-		"Landmark table rebuilds triggered by a lower-bound violation (monotone; survives session eviction; 0 under monotone prices).",
-		m.lmRebuilds.Load)
-	reg.NewHistogramFamily("ufp_pathcache_landmark_rebuild_duration_seconds",
-		"Wall time of each landmark table rebuild (2k Dijkstras plus minimax tables when enabled).",
-		metrics.DefLatencyBuckets).Observe(m.lmRebuildLatency)
 	registry := reg.NewCounterFamily("ufp_pathcache_landmark_registry_lookups_total",
 		"Shared landmark registry lookups, split by result (process-wide: one registry serves every shard, session, and mechanism probe).", "result")
 	registry.Func(func() int64 { h, _ := pathfind.SharedLandmarks.Stats(); return h }, "hit")
@@ -330,15 +304,6 @@ func (m *Manager) AdmitLatencyHistogram() *metrics.Histogram { return m.admitLat
 
 // QuoteLatencyHistogram is AdmitLatencyHistogram for Quote calls.
 func (m *Manager) QuoteLatencyHistogram() *metrics.Histogram { return m.quoteLatency }
-
-// LandmarkRebuilds returns the manager's lifetime landmark-rebuild
-// count (monotone — unaffected by session eviction), for aggregation
-// layers summing across shards.
-func (m *Manager) LandmarkRebuilds() int64 { return m.lmRebuilds.Load() }
-
-// LandmarkRebuildHistogram exposes the rebuild-duration histogram for
-// aggregation layers, mirroring AdmitLatencyHistogram.
-func (m *Manager) LandmarkRebuildHistogram() *metrics.Histogram { return m.lmRebuildLatency }
 
 // sweepLocked expires idle sessions from the LRU's cold end. Recency
 // order and last-use order coincide (every path that touches a session
@@ -487,19 +452,12 @@ type Info struct {
 	PathReused     int64 `json:"pathReused"`
 	// OracleSearches / OraclePruneRatio profile the cache's next-gen
 	// single-target oracle: searches it answered, and the fraction of
-	// the full-tree vertex budget its pruning skipped. BidiProbes /
-	// BidiMeets split the bidirectional probes; PolicyTree /
+	// the full-tree vertex budget its pruning skipped. PolicyTree /
 	// PolicySingle count the adaptive refresh policy's decisions.
-	OracleSearches   int64   `json:"oracleSearches"`
-	OraclePruneRatio float64 `json:"oraclePruneRatio"`
-	BidiProbes       int64   `json:"bidiProbes"`
-	BidiMeets        int64   `json:"bidiMeets"`
-	PolicyTree       int64   `json:"policyTree"`
-	PolicySingle     int64   `json:"policySingle"`
-	// LandmarkRebuilds counts this session's landmark table rebuilds.
-	// Only a lower-bound violation rebuilds, so it stays 0 while prices
-	// are monotone.
-	LandmarkRebuilds int64     `json:"landmarkRebuilds"`
+	OracleSearches   int64     `json:"oracleSearches"`
+	OraclePruneRatio float64   `json:"oraclePruneRatio"`
+	PolicyTree       int64     `json:"policyTree"`
+	PolicySingle     int64     `json:"policySingle"`
 	Created          time.Time `json:"created"`
 	LastUsed         time.Time `json:"lastUsed"`
 }
@@ -531,11 +489,8 @@ func (s *Session) Info() (Info, error) {
 		PathReused:       reu,
 		OracleSearches:   cs.AltSearches,
 		OraclePruneRatio: cs.PruneRatio(),
-		BidiProbes:       cs.BidiProbes,
-		BidiMeets:        cs.BidiMeets,
 		PolicyTree:       cs.PolicyTree,
 		PolicySingle:     cs.PolicySingle,
-		LandmarkRebuilds: cs.LandmarkRebuilds,
 		Created:          s.created,
 		LastUsed:         time.Unix(0, s.lastUsed.Load()),
 	}, nil

@@ -469,29 +469,16 @@ func (r *Router) registerAggregates(reg *metrics.Registry) {
 		func(s pathfind.CacheStats) float64 { return float64(s.PathToMisses) })
 	pcGauge("ufp_pathcache_dirty_ratio", "Fraction of demanded structures recomputed (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.DirtyRatio() })
-	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT/bidirectional oracle (live sessions).",
+	pcGauge("ufp_pathcache_oracle_searches", "PathTo misses answered by the ALT landmark oracle (live sessions).",
 		func(s pathfind.CacheStats) float64 { return float64(s.AltSearches) })
 	pcGauge("ufp_pathcache_oracle_prune_ratio", "Fraction of the full-tree vertex budget the oracle's searches skipped (live sessions, 0..1).",
 		func(s pathfind.CacheStats) float64 { return s.PruneRatio() })
-	pcGauge("ufp_pathcache_bidi_probes", "Bidirectional probes run (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiProbes) })
-	pcGauge("ufp_pathcache_bidi_meets", "Bidirectional probes whose frontiers bridged (live sessions).",
-		func(s pathfind.CacheStats) float64 { return float64(s.BidiMeets) })
 	policy := reg.NewGaugeFamily("ufp_pathcache_policy_decisions",
 		"Adaptive refresh-policy decisions, split by chosen serving mode (live sessions).", "mode")
 	policy.GaugeFunc(func() float64 { return float64(pc().PolicyTree) }, "tree")
 	policy.GaugeFunc(func() float64 { return float64(pc().PolicySingle) }, "single")
-	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; each triggers a rebuild, or disables the tables past the budget).",
+	pcGauge("ufp_pathcache_landmark_violations", "Landmark lower-bound violations caught by the oracle (live sessions; 0 under monotone prices; each disables its session's tables).",
 		func(s pathfind.CacheStats) float64 { return float64(s.LandmarkViolations) })
-	counter("ufp_pathcache_landmark_rebuilds_total",
-		"Landmark table rebuilds triggered by a lower-bound violation (monotone; survives session eviction; 0 under monotone prices).",
-		func(b *backend) int64 { return b.eng.Sessions().LandmarkRebuilds() })
-	rebuildF := reg.NewHistogramFamily("ufp_pathcache_landmark_rebuild_duration_seconds",
-		"Wall time of each landmark table rebuild (2k Dijkstras plus minimax tables when enabled).",
-		metrics.DefLatencyBuckets, "shard")
-	for _, b := range r.backends {
-		rebuildF.Observe(b.eng.Sessions().LandmarkRebuildHistogram(), b.member)
-	}
 	// The landmark registry is process-wide — every shard's sessions and
 	// the mechanism probes share pathfind.SharedLandmarks — so its
 	// counters are read directly, NOT summed per shard (a sum would
