@@ -32,9 +32,8 @@ bench-json:
 # derived speedup (IncrementalSolve, IncrementalBottleneck,
 # IncrementalBellman, SingleTarget, Landmark, BottleneckSingleTarget,
 # AuctionReasonable, SessionAdmit) relative to the committed
-# BENCH_path.json, and on a missing or never-shedding cluster serving
-# pass (cluster_serve). Speedup ratios and the shed contract are
-# machine-portable; absolute ns/op are not.
+# BENCH_path.json. Speedup ratios are machine-portable; absolute ns/op
+# are not.
 bench-trend:
 	$(GO) run ./cmd/benchjson -out /tmp/BENCH_path_fresh.json -baseline BENCH_path.json -max-regression 0.25
 
@@ -158,15 +157,13 @@ smoke-metrics:
 	grep -Eq '^ufp_pathcache_landmark_registry_lookups_total\{result="miss"\} [0-9]*[1-9]' /tmp/metrics-smoke.txt; \
 	echo "metrics exposition smoke: ok"
 
-# Cluster smoke (the CI step): two route-mode ufpserve nodes, each
-# sharded in-process, replaying a ufpgen corpus through
-# ufpbench -load -targets, plus one session registered on node 1 and
-# driven through node 0 to exercise the cross-node proxy. Asserts the
-# ring actually spread jobs (non-zero ufp_shard_routed_total on both
-# nodes), the proxy forwarded (ufp_route_forwarded_total), and no
-# session operation landed on a wrong shard (ufp_shard_misrouted_total
-# stays 0 cluster-wide). One shell invocation so the EXIT trap always
-# reaps both background servers.
+# Cluster smoke (the CI step): two route-mode ufpserve nodes replaying
+# a ufpgen corpus through ufpbench -load -targets, plus one session
+# registered on node 1 and driven through node 0 to exercise the
+# cross-node proxy. Asserts both nodes solved jobs (non-zero
+# ufp_engine_jobs_submitted_total on each) and the proxy forwarded
+# (ufp_route_forwarded_total). One shell invocation so the EXIT trap
+# always reaps both background servers.
 smoke-cluster: SHELL := /bin/bash
 smoke-cluster: .SHELLFLAGS := -o pipefail -c
 smoke-cluster:
@@ -174,8 +171,8 @@ smoke-cluster:
 	$(GO) build -o /tmp/ufpbench-cluster ./cmd/ufpbench
 	rm -rf /tmp/cluster-corpus && $(GO) run ./cmd/ufpgen -corpus /tmp/cluster-corpus -seeds 1
 	peers=http://127.0.0.1:18090,http://127.0.0.1:18091; \
-	/tmp/ufpserve-cluster -addr 127.0.0.1:18090 -shards 2 -route -peers $$peers -self 0 & p0=$$!; \
-	/tmp/ufpserve-cluster -addr 127.0.0.1:18091 -shards 2 -route -peers $$peers -self 1 & p1=$$!; \
+	/tmp/ufpserve-cluster -addr 127.0.0.1:18090 -route -peers $$peers -self 0 & p0=$$!; \
+	/tmp/ufpserve-cluster -addr 127.0.0.1:18091 -route -peers $$peers -self 1 & p1=$$!; \
 	trap 'kill $$p0 $$p1 2>/dev/null' EXIT; \
 	for i in $$(seq 1 50); do \
 		curl -sf 127.0.0.1:18090/v1/readyz > /dev/null && \
@@ -190,11 +187,9 @@ smoke-cluster:
 		-d '{"source":0,"target":1,"demand":1,"value":2}' | grep -q '"admitted":true'; \
 	curl -sf 127.0.0.1:18090/metrics > /tmp/cluster-metrics-0.txt; \
 	curl -sf 127.0.0.1:18091/metrics > /tmp/cluster-metrics-1.txt; \
-	grep -Eq '^ufp_shard_routed_total\{shard="[0-9]+"\} [0-9]*[1-9]' /tmp/cluster-metrics-0.txt; \
-	grep -Eq '^ufp_shard_routed_total\{shard="[0-9]+"\} [0-9]*[1-9]' /tmp/cluster-metrics-1.txt; \
+	grep -Eq '^ufp_engine_jobs_submitted_total [0-9]*[1-9]' /tmp/cluster-metrics-0.txt; \
+	grep -Eq '^ufp_engine_jobs_submitted_total [0-9]*[1-9]' /tmp/cluster-metrics-1.txt; \
 	grep -Eq '^ufp_route_forwarded_total\{peer="1"\} [0-9]*[1-9]' /tmp/cluster-metrics-0.txt; \
-	grep -q '^ufp_shard_misrouted_total 0$$' /tmp/cluster-metrics-0.txt; \
-	grep -q '^ufp_shard_misrouted_total 0$$' /tmp/cluster-metrics-1.txt; \
 	echo "cluster smoke: ok"
 
 ci: fmt vet perfbench-check build test bench fuzz-smoke smoke smoke-session smoke-metrics smoke-cluster

@@ -13,7 +13,6 @@ import (
 	"truthfulufp/internal/pathfind"
 	"truthfulufp/internal/scenario"
 	"truthfulufp/internal/session"
-	"truthfulufp/internal/shard"
 	"truthfulufp/internal/solver"
 )
 
@@ -71,33 +70,6 @@ type (
 	// ErrEngineOverloaded, carrying the Retry-After hint.
 	EngineOverloadError = engine.OverloadError
 )
-
-// Re-exported shard types. See internal/shard: the horizontal
-// scale-out layer — a bounded-load consistent-hash ring routing jobs
-// by instance fingerprint and session operations by session id across
-// N engine/session backends inside one process.
-type (
-	// ShardRouter fronts N engine/session backends behind the
-	// consistent-hash ring (create with NewShardRouter).
-	ShardRouter = shard.Router
-	// ShardConfig tunes a ShardRouter (shard count, per-backend engine
-	// config, ring replicas, bounded-load factor, node id prefix).
-	ShardConfig = shard.Config
-	// ShardSnapshot is a point-in-time view of a router's cluster.
-	ShardSnapshot = shard.Snapshot
-	// ShardRing is the bounded-load consistent-hash ring itself.
-	ShardRing = shard.Ring
-)
-
-// NewShardRouter starts a sharded serving cluster in-process. Callers
-// own its shutdown via ShardRouter.Close.
-func NewShardRouter(cfg ShardConfig) *ShardRouter { return shard.New(cfg) }
-
-// NewShardRing builds a bounded-load consistent-hash ring over the
-// given members (replicas <= 0 and loadFactor <= 1 select defaults).
-func NewShardRing(members []string, replicas int, loadFactor float64) *ShardRing {
-	return shard.NewRing(members, replicas, loadFactor)
-}
 
 // The v1 solver registry. See internal/solver: every allocation
 // algorithm in the module — the UFP solvers and baselines, the auction

@@ -71,11 +71,6 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "session-admit latency: p50 %.3f / p99 %.3f / p999 %.3f ms (%d admits)\n",
 			l.P50Ms, l.P99Ms, l.P999Ms, l.Count)
 	}
-	if c := snap.ClusterServe; c != nil {
-		fmt.Fprintf(os.Stderr, "cluster serve (%d sh): p50 %.3f / p99 %.3f / p999 %.3f ms, burst shed %d/%d (%.0f%%)\n",
-			c.Shards, c.Latency.P50Ms, c.Latency.P99Ms, c.Latency.P999Ms,
-			c.BurstShed, c.BurstJobs, c.ShedRate*100)
-	}
 	if err := write(*out, snap); err != nil {
 		return err
 	}

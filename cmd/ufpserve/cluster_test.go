@@ -16,61 +16,6 @@ import (
 	"truthfulufp"
 )
 
-// TestServeShardedSessionSurface runs the whole session surface through
-// an in-process 3-shard router: ids carry their shard prefix, every op
-// routes home, and /v1/healthz reports the cluster view.
-func TestServeShardedSessionSurface(t *testing.T) {
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{
-		Shards: 3, Engine: truthfulufp.EngineConfig{Workers: 2},
-	})
-	t.Cleanup(router.Close)
-	ts := httptest.NewServer(newHandler(router, 0.25, 30*time.Second))
-	t.Cleanup(ts.Close)
-
-	shards := map[string]bool{}
-	for i := 0; i < 9; i++ {
-		id := registerNetwork(t, ts, diamondGraph(4), 0.25)
-		if !strings.HasPrefix(id, "s") {
-			t.Fatalf("sharded session id %q has no shard prefix", id)
-		}
-		shards[id[:strings.IndexByte(id, '-')+1]] = true
-
-		status, out := postJSON(t, ts.URL+"/v1/networks/"+id+"/price",
-			map[string]any{"source": 0, "target": 3, "demand": 1, "value": 50})
-		if status != http.StatusOK {
-			t.Fatalf("price on %s: status %d: %s", id, status, out)
-		}
-		var quote wireDecision
-		if err := json.Unmarshal(out, &quote); err != nil {
-			t.Fatal(err)
-		}
-		if !quote.Admitted || quote.Price == nil || *quote.Price != 0.5 {
-			t.Fatalf("price on %s = %+v, want would-admit at 0.5", id, quote)
-		}
-	}
-	if len(shards) < 2 {
-		t.Errorf("9 sessions all placed on %d shard(s); expected spread", len(shards))
-	}
-
-	resp, body := get(t, ts.URL+"/v1/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: status %d: %s", resp.StatusCode, body)
-	}
-	var health healthResponse
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Shards != 3 {
-		t.Errorf("healthz shards = %d, want 3", health.Shards)
-	}
-	if health.Sessions.Live != 9 {
-		t.Errorf("healthz live sessions = %d, want 9", health.Sessions.Live)
-	}
-	if health.Misrouted != 0 {
-		t.Errorf("healthz misrouted = %d", health.Misrouted)
-	}
-}
-
 // slowWireInstance is a solve heavy enough to pin a worker for the
 // duration of the test (the grid/request mix from the engine's
 // cancellation tests, shippable over JSON).
@@ -109,11 +54,11 @@ func slowWireInstance() *truthfulufp.Instance {
 // hitting a full queue answers 429 with the stable "overloaded"
 // envelope code and a positive Retry-After hint.
 func TestServeOverloadSheds(t *testing.T) {
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{
-		Engine: truthfulufp.EngineConfig{Workers: 1, SolveWorkers: 1, QueueDepth: 1, CacheSize: -1},
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{
+		Workers: 1, SolveWorkers: 1, QueueDepth: 1, CacheSize: -1,
 	})
-	t.Cleanup(router.Close)
-	ts := httptest.NewServer(newHandler(router, 0.25, 0))
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(newHandler(eng, 0.25, 0))
 	t.Cleanup(ts.Close)
 
 	slow := slowWireInstance()
@@ -154,10 +99,10 @@ func TestServeOverloadSheds(t *testing.T) {
 
 	wg.Add(1)
 	go post(800) // occupies the lone worker
-	waitFor(t, func() bool { return router.Snapshot().BusyWorkers > 0 })
+	waitFor(t, func() bool { return eng.BusyWorkers() > 0 })
 	wg.Add(1)
 	go post(799) // fills the single queue slot
-	waitFor(t, func() bool { return router.Snapshot().QueueDepth > 0 })
+	waitFor(t, func() bool { return eng.QueueDepth() > 0 })
 
 	// Third distinct job: must shed, not block.
 	inst := &truthfulufp.Instance{G: slow.G, Requests: slow.Requests[:798]}
@@ -190,7 +135,7 @@ func TestServeOverloadSheds(t *testing.T) {
 	if wire.Error == nil || wire.Error.Code != codeOverloaded {
 		t.Errorf("429 envelope = %s, want code %q", out, codeOverloaded)
 	}
-	if got := router.Snapshot().Shed; got != 1 {
+	if got := eng.Snapshot().Shed; got != 1 {
 		t.Errorf("shed counter = %d, want 1", got)
 	}
 }
@@ -213,16 +158,14 @@ func waitFor(t *testing.T, cond func() bool) {
 // counter ticking), and deletes work cross-node too.
 func TestServeRouteModeForwardsSessions(t *testing.T) {
 	const nodes = 2
-	routers := make([]*truthfulufp.ShardRouter, nodes)
 	servers := make([]*server, nodes)
 	tss := make([]*httptest.Server, nodes)
 	for i := 0; i < nodes; i++ {
-		routers[i] = truthfulufp.NewShardRouter(truthfulufp.ShardConfig{
-			Shards: 2, Engine: truthfulufp.EngineConfig{Workers: 2},
-			IDPrefix: fmt.Sprintf("p%d.", i),
+		eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{
+			Workers: 2, SessionIDPrefix: fmt.Sprintf("p%d.", i),
 		})
-		t.Cleanup(routers[i].Close)
-		servers[i] = newServer(routers[i], 0.25, 30*time.Second, nil, nil)
+		t.Cleanup(eng.Close)
+		servers[i] = newServer(eng, 0.25, 30*time.Second, nil, nil)
 		tss[i] = httptest.NewServer(servers[i].handler())
 		t.Cleanup(tss[i].Close)
 	}
@@ -296,5 +239,35 @@ func TestServeRouteModeForwardsSessions(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session on home node: status %d: %s", gresp.StatusCode, gbody)
+	}
+}
+
+// TestServeRouteModeNeverForwardsTwice pins the loop guard: a node whose
+// -peers list names itself at another index proxies a foreign id to
+// itself once, and the proxied request is answered locally (404) instead
+// of being forwarded again.
+func TestServeRouteModeNeverForwardsTwice(t *testing.T) {
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{Workers: 1, SessionIDPrefix: "p1."})
+	t.Cleanup(eng.Close)
+	s := newServer(eng, 0.25, 30*time.Second, nil, nil)
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	// peers[0] is this very server although -self is 1.
+	s.routeMode, s.peers, s.self = true, []string{ts.URL, "http://127.0.0.1:1"}, 1
+
+	resp, body := get(t, ts.URL+"/v1/networks/p0.x")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("self-forwarded GET: status %d: %s", resp.StatusCode, body)
+	}
+	var wire wireResponse
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Error == nil || wire.Error.Code != codeNotFound {
+		t.Errorf("self-forwarded GET envelope = %s, want code %q", body, codeNotFound)
+	}
+	_, mbody := get(t, ts.URL+"/metrics")
+	if !strings.Contains(string(mbody), `ufp_route_forwarded_total{peer="0"} 1`+"\n") {
+		t.Errorf("want exactly one forward to peer 0:\n%s", mbody)
 	}
 }

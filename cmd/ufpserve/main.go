@@ -11,25 +11,23 @@
 //	ufpserve [-addr :8080] [-workers 0] [-solve-workers 1] [-cache 1024]
 //	         [-eps 0.25] [-timeout 60s] [-max-sessions 64] [-session-ttl 0]
 //	         [-log-format text|json] [-pprof-addr ""]
-//	         [-shards 1] [-block-on-full]
+//	         [-block-on-full]
 //	         [-route -peers http://a:8080,http://b:8080 -self 0]
 //
 // Session path oracle: networks of 64 or more vertices get landmark
 // tables built once from their initial prices and shared across
-// sessions and shards with the same topology. Prices only rise, so the
-// tables stay valid lower bounds for a session's whole life; they are
-// rebuilt only if a bound is ever violated. The oracle has no tuning
-// flags.
+// sessions with the same topology. Prices only rise, so the tables stay
+// valid lower bounds for a session's whole life; a violated bound
+// disables the session's tables, which then costs speed, never an
+// answer. The oracle has no tuning flags.
 //
-// Scale-out: -shards N fronts N independent engine/session backends
-// with an in-process bounded-load consistent-hash router (jobs route by
-// instance fingerprint, session ops by session id, so each shard keeps
-// its own warm caches). -route spreads the same scheme across
-// processes: session ids gain a node prefix ("p1.") and any node
-// proxies a misrouted session call to its owner from the -peers list,
-// propagating the request id. A full job queue answers 429 with a
-// Retry-After hint derived from queue depth × mean solve latency
-// (-block-on-full restores the old blocking behaviour).
+// One engine serves every request. -route runs several processes as one
+// cluster: session ids gain a node prefix ("p1.") and any node proxies
+// a session call for another node's id to that peer from the -peers
+// list, propagating the request id; a proxied call is never proxied
+// again. A full job queue answers 429 with a Retry-After hint derived
+// from queue depth × mean solve latency (-block-on-full restores the
+// old blocking behaviour).
 //
 // v1 endpoints:
 //
@@ -41,9 +39,9 @@
 //	POST   /v1/networks/{id}/admit    {"source": 0, "target": 3, "demand": 0.5, "value": 2}
 //	POST   /v1/networks/{id}/price    (same body; quotes without admitting)
 //	POST   /v1/networks/{id}/release  {"id": 7}
-//	GET    /v1/healthz                liveness: 200 while the process serves (cluster-wide counters)
+//	GET    /v1/healthz                liveness: 200 while the process serves (engine and session counters)
 //	GET    /v1/readyz                 readiness: 503 while draining on shutdown; body reports queue saturation
-//	GET    /metrics                   Prometheus text exposition (ufp_http_*, ufp_engine_*, ufp_session_*, ufp_pathcache_*, ufp_shard_*)
+//	GET    /metrics                   Prometheus text exposition (ufp_http_*, ufp_route_*, ufp_engine_*, ufp_session_*, ufp_pathcache_*)
 //
 // Observability: every route runs through the instrument middleware
 // (request counters by status class, in-flight gauge, per-route latency
@@ -80,7 +78,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -111,7 +108,6 @@ func run(args []string, logw io.Writer) error {
 		sessionTTL   = fs.Duration("session-ttl", 0, "expire sessions idle longer than this (0 = never)")
 		logFormat    = fs.String("log-format", "text", "structured request log format: text|json")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		shards       = fs.Int("shards", 1, "engine/session backends behind the in-process consistent-hash router (each gets its own worker pool, queue, cache, and sessions)")
 		block        = fs.Bool("block-on-full", false, "block on a full job queue instead of shedding with 429 + Retry-After")
 		route        = fs.Bool("route", false, "cluster route mode: proxy misrouted session calls to the peer named by the session id's node prefix (requires -peers and -self)")
 		peersFlag    = fs.String("peers", "", "comma-separated peer base URLs, this node included, in cluster-wide order (e.g. http://a:8080,http://b:8080)")
@@ -123,11 +119,6 @@ func run(args []string, logw io.Writer) error {
 	logger, err := newLogger(*logFormat, logw)
 	if err != nil {
 		return err
-	}
-	if *workers == 0 && *shards > 1 {
-		// Split the machine across the shards instead of giving each one
-		// a full GOMAXPROCS pool.
-		*workers = max(1, runtime.GOMAXPROCS(0) / *shards)
 	}
 	var peers []string
 	nodePrefix := ""
@@ -144,27 +135,24 @@ func run(args []string, logw io.Writer) error {
 			return fmt.Errorf("-self %d is out of range for %d peers", *self, len(peers))
 		}
 		// The node prefix makes every session id name its owning node
-		// cluster-wide ("p1.s0-n3"), which is all the routing state the
+		// cluster-wide ("p1.n3"), which is all the routing state the
 		// cluster has — no directory service.
 		nodePrefix = fmt.Sprintf("p%d.", *self)
 	}
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{
-		Shards: *shards,
-		Engine: truthfulufp.EngineConfig{
-			Workers:      *workers,
-			SolveWorkers: *solveWorkers,
-			CacheSize:    *cache,
-			QueueDepth:   *queue,
-			BlockOnFull:  *block,
-			MaxSessions:  *maxSessions,
-			SessionTTL:   *sessionTTL,
-		},
-		IDPrefix: nodePrefix,
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{
+		Workers:         *workers,
+		SolveWorkers:    *solveWorkers,
+		CacheSize:       *cache,
+		QueueDepth:      *queue,
+		BlockOnFull:     *block,
+		MaxSessions:     *maxSessions,
+		SessionTTL:      *sessionTTL,
+		SessionIDPrefix: nodePrefix,
 	})
 	// Closed explicitly after the HTTP drain below; the defer covers
 	// early error returns.
-	defer router.Close()
-	s := newServer(router, *eps, *timeout, truthfulufp.NewMetricsRegistry(), logger)
+	defer eng.Close()
+	s := newServer(eng, *eps, *timeout, truthfulufp.NewMetricsRegistry(), logger)
 	if *route {
 		s.routeMode, s.peers, s.self = true, peers, *self
 	}
@@ -195,8 +183,7 @@ func run(args []string, logw io.Writer) error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("listening", slog.String("addr", *addr),
-		slog.Int("shards", router.NumShards()), slog.Int("workers", router.Snapshot().Workers))
+	logger.Info("listening", slog.String("addr", *addr), slog.Int("workers", eng.Workers()))
 	select {
 	case err := <-errc:
 		if !errors.Is(err, http.ErrServerClosed) {
@@ -241,7 +228,7 @@ func pprofMux() *http.ServeMux {
 // server holds the handler's dependencies and the HTTP-layer
 // instruments the middleware updates per request.
 type server struct {
-	router     *truthfulufp.ShardRouter
+	eng        *truthfulufp.Engine
 	defaultEps float64
 	timeout    time.Duration
 	logger     *slog.Logger
@@ -249,8 +236,8 @@ type server struct {
 	// draining flips /v1/readyz to 503 during graceful shutdown.
 	draining atomic.Bool
 
-	// Route mode: misrouted session calls (the id's node prefix names
-	// another peer) are proxied to peers[that index].
+	// Route mode: session calls whose id's node prefix names another
+	// peer are proxied to peers[that index].
 	routeMode bool
 	peers     []string
 	self      int
@@ -262,21 +249,19 @@ type server struct {
 	forwarded   *truthfulufp.MetricsFamily // counter{peer}
 }
 
-// newServer wires a server around a shard router, registering the
-// cluster's metric families (and, below, its own ufp_http_* families)
-// into reg. A nil reg gets a private registry; a nil logger discards.
-// The router is owned by the caller (tests share one across httptest
-// servers — each gets its own registry, so re-registration never
-// collides).
-func newServer(router *truthfulufp.ShardRouter, defaultEps float64, timeout time.Duration, reg *truthfulufp.MetricsRegistry, logger *slog.Logger) *server {
+// newServer wires a server around an engine, registering the engine's
+// metric families (and, below, its own ufp_http_* and ufp_route_*
+// families) into reg. A nil reg gets a private registry; a nil logger
+// discards. The engine is owned by the caller.
+func newServer(eng *truthfulufp.Engine, defaultEps float64, timeout time.Duration, reg *truthfulufp.MetricsRegistry, logger *slog.Logger) *server {
 	if reg == nil {
 		reg = truthfulufp.NewMetricsRegistry()
 	}
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
-	router.RegisterMetrics(reg)
-	s := &server{router: router, defaultEps: defaultEps, timeout: timeout, logger: logger, reg: reg,
+	eng.RegisterMetrics(reg)
+	s := &server{eng: eng, defaultEps: defaultEps, timeout: timeout, logger: logger, reg: reg,
 		client: &http.Client{Timeout: 2 * time.Minute}}
 	s.httpReqs = reg.NewCounterFamily("ufp_http_requests_total",
 		"HTTP requests by route pattern, status class, and deprecation.",
@@ -293,8 +278,8 @@ func newServer(router *truthfulufp.ShardRouter, defaultEps float64, timeout time
 
 // newHandler is the one-call convenience wiring (private registry,
 // discard logger) used by tests.
-func newHandler(router *truthfulufp.ShardRouter, defaultEps float64, timeout time.Duration) http.Handler {
-	return newServer(router, defaultEps, timeout, nil, nil).handler()
+func newHandler(eng *truthfulufp.Engine, defaultEps float64, timeout time.Duration) http.Handler {
+	return newServer(eng, defaultEps, timeout, nil, nil).handler()
 }
 
 // handler builds the endpoint mux, every route instrumented — the
@@ -480,7 +465,7 @@ func (s *server) dispatch(w http.ResponseWriter, r *http.Request, job truthfuluf
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	res, err := s.router.Do(ctx, job)
+	res, err := s.eng.Do(ctx, job)
 	if err != nil {
 		status, code := http.StatusUnprocessableEntity, codeSolveFailed
 		switch {
@@ -711,7 +696,7 @@ func (s *server) handleNetworkRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
 	}
-	sess, err := s.router.Register(g, s.eps(req.Eps))
+	sess, err := s.eng.Sessions().Register(g, s.eps(req.Eps))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, err)
 		return
@@ -730,16 +715,16 @@ func (s *server) handleNetworkRegister(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// session resolves the {id} path segment to a live session on its
-// owning local shard — or, in route mode, proxies the whole request to
-// the peer the id's node prefix names (the caller is then done: the
-// peer's response has been relayed).
+// session resolves the {id} path segment to a live session — or, in
+// route mode, proxies the whole request to the peer the id's node
+// prefix names (the caller is then done: the peer's response has been
+// relayed).
 func (s *server) session(w http.ResponseWriter, r *http.Request) (*truthfulufp.Session, bool) {
 	id := r.PathValue("id")
 	if s.forwardSession(w, r, id) {
 		return nil, false
 	}
-	sess, ok := s.router.Session(id)
+	sess, ok := s.eng.Sessions().Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no network %q (expired, closed, or never registered)", id))
 		return nil, false
@@ -748,15 +733,13 @@ func (s *server) session(w http.ResponseWriter, r *http.Request) (*truthfulufp.S
 }
 
 // forwardSession reports whether the request was proxied to a peer: in
-// route mode, an id owned by no local shard but carrying another
-// node's prefix ("p<j>.") belongs to peers[j]. Ids that parse to no
-// peer fall through to the local not-found path (and the router's
-// misrouted counter).
+// route mode, an id carrying another node's prefix ("p<j>.") belongs to
+// peers[j]. Ids that parse to this node or to no peer, and requests a
+// peer already proxied (hopHeader set), fall through to the local
+// lookup, so a misconfigured -peers list answers 404 after one hop
+// instead of proxying in a loop.
 func (s *server) forwardSession(w http.ResponseWriter, r *http.Request, id string) bool {
-	if !s.routeMode {
-		return false
-	}
-	if _, ok := s.router.Owner(id); ok {
+	if !s.routeMode || r.Header.Get(hopHeader) != "" {
 		return false
 	}
 	peer, ok := peerIndex(id)
@@ -783,6 +766,10 @@ func peerIndex(id string) (int, bool) {
 	return j, true
 }
 
+// hopHeader marks a proxied request with the forwarding node's index;
+// the receiving node never forwards it again.
+const hopHeader = "X-Ufp-Forwarded-By"
+
 // proxy relays the request verbatim to the owning peer, propagating
 // the request id so one logical call is greppable across the fleet's
 // request logs, and streams the peer's response back.
@@ -797,6 +784,7 @@ func (s *server) proxy(w http.ResponseWriter, r *http.Request, peer int) {
 		req.Header.Set("Content-Type", ct)
 	}
 	req.Header.Set(requestIDHeader, w.Header().Get(requestIDHeader))
+	req.Header.Set(hopHeader, strconv.Itoa(s.self))
 	resp, err := s.client.Do(req)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, codeUpstream,
@@ -851,7 +839,7 @@ func (s *server) handleNetworkDelete(w http.ResponseWriter, r *http.Request) {
 	if s.forwardSession(w, r, id) {
 		return
 	}
-	if !s.router.CloseSession(id) {
+	if !s.eng.Sessions().Close(id) {
 		writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no network %q (expired, closed, or never registered)", id))
 		return
 	}
@@ -954,12 +942,11 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	writeResult(w, releaseResponse{Released: encodeAdmitted(a)})
 }
 
-// healthResponse is /v1/healthz: liveness, the cluster's summed
-// counters, and the session managers'.
+// healthResponse is /v1/healthz: liveness, the engine's counters, and
+// the session manager's.
 type healthResponse struct {
 	Status        string                   `json:"status"`
 	UptimeSec     float64                  `json:"uptimeSec"`
-	Shards        int                      `json:"shards"`
 	Workers       int                      `json:"workers"`
 	Submitted     int64                    `json:"submitted"`
 	Completed     int64                    `json:"completed"`
@@ -968,8 +955,6 @@ type healthResponse struct {
 	Failures      int64                    `json:"failures"`
 	Cancelled     int64                    `json:"cancelled"`
 	Shed          int64                    `json:"shed"`
-	Diverted      int64                    `json:"diverted"`
-	Misrouted     int64                    `json:"misrouted"`
 	JobsPerSec    float64                  `json:"jobsPerSec"`
 	LatencyMeanMs float64                  `json:"latencyMeanMs"`
 	LatencyMaxMs  float64                  `json:"latencyMaxMs"`
@@ -977,11 +962,10 @@ type healthResponse struct {
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.router.Snapshot()
+	snap := s.eng.Snapshot()
 	resp := healthResponse{
 		Status:     "ok",
 		UptimeSec:  snap.Uptime.Seconds(),
-		Shards:     snap.Shards,
 		Workers:    snap.Workers,
 		Submitted:  snap.Submitted,
 		Completed:  snap.Completed,
@@ -990,35 +974,18 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Failures:   snap.Failures,
 		Cancelled:  snap.Cancelled,
 		Shed:       snap.Shed,
-		Diverted:   snap.Diverted,
-		Misrouted:  snap.Misrouted,
 		JobsPerSec: snap.JobsPerSec(),
 		Sessions:   snap.Sessions,
 	}
-	// Mean latency weights each shard by its sample count; max is the
-	// fleet max (quantile summaries don't merge, means and maxes do).
-	var n int
-	var sum, maxMs float64
-	for _, ss := range snap.PerShard {
-		lat := ss.Engine.Latency
-		if lat.N() == 0 {
-			continue
-		}
-		n += lat.N()
-		sum += lat.Mean() * float64(lat.N())
-		if m := lat.Max() * 1e3; m > maxMs {
-			maxMs = m
-		}
-	}
-	if n > 0 {
-		resp.LatencyMeanMs = sum / float64(n) * 1e3
-		resp.LatencyMaxMs = maxMs
+	if snap.Latency.N() > 0 {
+		resp.LatencyMeanMs = snap.Latency.Mean() * 1e3
+		resp.LatencyMaxMs = snap.Latency.Max() * 1e3
 	}
 	writeResult(w, resp)
 }
 
 // readyResponse is /v1/readyz while serving. Saturated reports every
-// queue slot and worker busy cluster-wide — the load balancer's early
+// queue slot and worker busy — the load balancer's early
 // overload signal; the probe still answers 200 (shedding, not
 // draining: new jobs get fast 429s, streamed session ops still serve).
 type readyResponse struct {
@@ -1040,13 +1007,13 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			errors.New("server is draining"))
 		return
 	}
-	snap := s.router.Snapshot()
+	depth, capacity := s.eng.QueueDepth(), s.eng.QueueCapacity()
 	writeResult(w, readyResponse{
 		Status:        "ok",
-		Saturated:     snap.QueueCapacity > 0 && snap.QueueDepth >= snap.QueueCapacity,
-		QueueDepth:    snap.QueueDepth,
-		QueueCapacity: snap.QueueCapacity,
-		Shed:          snap.Shed,
+		Saturated:     capacity > 0 && depth >= capacity,
+		QueueDepth:    depth,
+		QueueCapacity: capacity,
+		Shed:          s.eng.Snapshot().Shed,
 	})
 }
 

@@ -18,13 +18,13 @@ import (
 	"truthfulufp/internal/workload"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *truthfulufp.ShardRouter) {
+func newTestServer(t *testing.T) (*httptest.Server, *truthfulufp.Engine) {
 	t.Helper()
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{Engine: truthfulufp.EngineConfig{Workers: 4}})
-	t.Cleanup(router.Close)
-	ts := httptest.NewServer(newHandler(router, 0.25, 30*time.Second))
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{Workers: 4})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(newHandler(eng, 0.25, 30*time.Second))
 	t.Cleanup(ts.Close)
-	return ts, router
+	return ts, eng
 }
 
 func testInstance(t *testing.T, seed uint64) *truthfulufp.Instance {
@@ -319,9 +319,9 @@ func TestServeConcurrentRequests(t *testing.T) {
 // TestServeZeroTimeout verifies timeout 0 means "no timeout", not
 // "already expired".
 func TestServeZeroTimeout(t *testing.T) {
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{Engine: truthfulufp.EngineConfig{Workers: 2}})
-	t.Cleanup(router.Close)
-	ts := httptest.NewServer(newHandler(router, 0.25, 0))
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{Workers: 2})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(newHandler(eng, 0.25, 0))
 	t.Cleanup(ts.Close)
 	status, out := postJSON(t, ts.URL+"/solve", solveBody(t, testInstance(t, 30), nil))
 	if status != http.StatusOK {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,10 +41,10 @@ func (s *syncBuffer) String() string {
 // struct (for the registry and the draining flag).
 func newInstrumentedServer(t *testing.T, buf *syncBuffer) (*httptest.Server, *server) {
 	t.Helper()
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{Engine: truthfulufp.EngineConfig{Workers: 2}})
-	t.Cleanup(router.Close)
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{Workers: 2})
+	t.Cleanup(eng.Close)
 	logger := slog.New(slog.NewJSONHandler(buf, nil))
-	s := newServer(router, 0.25, 30*time.Second, truthfulufp.NewMetricsRegistry(), logger)
+	s := newServer(eng, 0.25, 30*time.Second, truthfulufp.NewMetricsRegistry(), logger)
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	return ts, s
@@ -98,8 +99,55 @@ func TestMiddlewareStatusClasses(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint checks content type and that the exposition
-// covers all four subsystems with well-formed series.
+// metricFamilies is the exact family set a fresh server exports. Adding
+// or dropping a family fails TestMetricsEndpoint until this list changes
+// with it.
+var metricFamilies = []string{
+	"ufp_engine_cache_entries",
+	"ufp_engine_cache_hits_total",
+	"ufp_engine_cache_misses_total",
+	"ufp_engine_jobs_cancelled_total",
+	"ufp_engine_jobs_coalesced_total",
+	"ufp_engine_jobs_completed_total",
+	"ufp_engine_jobs_failed_total",
+	"ufp_engine_jobs_shed_total",
+	"ufp_engine_jobs_submitted_total",
+	"ufp_engine_queue_capacity",
+	"ufp_engine_queue_depth",
+	"ufp_engine_solve_duration_seconds",
+	"ufp_engine_worker_utilization",
+	"ufp_engine_workers",
+	"ufp_engine_workers_busy",
+	"ufp_http_in_flight",
+	"ufp_http_request_duration_seconds",
+	"ufp_http_requests_total",
+	"ufp_pathcache_dirty_ratio",
+	"ufp_pathcache_landmark_registry_lookups_total",
+	"ufp_pathcache_landmark_violations",
+	"ufp_pathcache_oracle_prune_ratio",
+	"ufp_pathcache_oracle_searches",
+	"ufp_pathcache_path_hits",
+	"ufp_pathcache_path_misses",
+	"ufp_pathcache_policy_decisions",
+	"ufp_pathcache_refreshes",
+	"ufp_pathcache_tree_recomputed",
+	"ufp_pathcache_tree_reused",
+	"ufp_route_forwarded_total",
+	"ufp_session_admit_duration_seconds",
+	"ufp_session_admits_total",
+	"ufp_session_closed_total",
+	"ufp_session_created_total",
+	"ufp_session_evictions_total",
+	"ufp_session_live",
+	"ufp_session_quote_duration_seconds",
+	"ufp_session_quotes_total",
+	"ufp_session_rejects_total",
+	"ufp_session_releases_total",
+}
+
+// TestMetricsEndpoint checks content type, that the exposition's
+// family set is exactly metricFamilies, and that it has well-formed
+// series.
 func TestMetricsEndpoint(t *testing.T) {
 	var buf syncBuffer
 	ts, _ := newInstrumentedServer(t, &buf)
@@ -111,20 +159,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("content type = %q, want %q", ct, truthfulufp.MetricsTextContentType)
 	}
 	exposition := string(body)
-	for _, name := range []string{
-		"ufp_http_in_flight",
-		"ufp_engine_jobs_submitted_total",
-		"ufp_engine_cache_hits_total",
-		"ufp_engine_queue_depth",
-		"ufp_engine_workers_busy",
-		"ufp_session_live",
-		"ufp_session_admits_total",
-		"ufp_session_evictions_total",
-		"ufp_pathcache_dirty_ratio",
-	} {
-		if !strings.Contains(exposition, "# TYPE "+name+" ") {
-			t.Errorf("exposition is missing family %s", name)
+	var families []string
+	for _, line := range strings.Split(exposition, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families = append(families, f[2])
 		}
+	}
+	slices.Sort(families)
+	if !slices.Equal(families, metricFamilies) {
+		t.Errorf("exposition families = %q\nwant %q", families, metricFamilies)
 	}
 	// ≥ 15 distinct series (the acceptance floor), counting sample lines.
 	series := 0

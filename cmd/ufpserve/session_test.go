@@ -428,9 +428,9 @@ func TestServeV1HealthzSessions(t *testing.T) {
 // TestServeSessionEvictionIsGoneOrNotFound: an LRU-evicted session
 // answers 404 on lookup (it is gone from the manager).
 func TestServeSessionEviction(t *testing.T) {
-	router := truthfulufp.NewShardRouter(truthfulufp.ShardConfig{Engine: truthfulufp.EngineConfig{Workers: 2, MaxSessions: 1}})
-	t.Cleanup(router.Close)
-	ts := httptest.NewServer(newHandler(router, 0.25, 30*time.Second))
+	eng := truthfulufp.NewEngine(truthfulufp.EngineConfig{Workers: 2, MaxSessions: 1})
+	t.Cleanup(eng.Close)
+	ts := httptest.NewServer(newHandler(eng, 0.25, 30*time.Second))
 	t.Cleanup(ts.Close)
 
 	id1 := registerNetwork(t, ts, diamondGraph(4), 0.25)

@@ -43,11 +43,6 @@
 //     online setting — registered networks with persistent prices,
 //     flows, and warm path caches (see "Session lifecycle" below).
 //
-//   - internal/shard: the horizontal scale-out layer — a bounded-load
-//     consistent-hash ring and a Router fronting N engine+session
-//     backends (see "Scale-out" below); use it via NewShardRouter or
-//     the ufpserve -shards / -route flags.
-//
 //   - internal/scenario: the scenario catalog — named, seeded topology
 //     families (fat-tree, Waxman backbone, scale-free, small-world,
 //     metro ring-of-rings, single-sink star-of-trees) × demand models
@@ -125,7 +120,7 @@
 // contract (a weight below its recorded bound), the violation is
 // counted and the tables disable, costing speed but never an answer.
 // One immutable table set per topology is shared process-wide through
-// pathfind.SharedLandmarks (engine shards, mechanism payment runs).
+// pathfind.SharedLandmarks (sessions, mechanism payment runs).
 // Cached answers
 // are bit-identical to recomputation (every kind's tie-break is
 // canonical, and each acceleration provably preserves it), so the
@@ -186,26 +181,21 @@
 // load-balancer traffic on GET /v1/readyz during graceful drain (see
 // the README's Operations section for the series catalog).
 //
-// # Scale-out: sharded serving
+// # Serving: one engine per node
 //
-// One process, one worker pool, and one set of warm caches is a
-// single-node ceiling. The shard layer (internal/shard, re-exported as
-// ShardRouter) raises it horizontally: a bounded-load consistent-hash
-// ring (virtual nodes, minimal remap on membership change) routes
-// solve jobs by fingerprint and session operations by session id to
-// one of N engine+session backends, so each shard's incremental path
-// caches, landmark tables, and in-flight dedup stay hot for the keys
-// it owns. Routing only places work — every backend runs the same
-// deterministic solvers — so a cluster's outcomes are byte-identical
-// to a single engine's. The router replaces block-on-full queueing
-// with load shedding: a saturated shard fails fast with an overload
-// error carrying a retry-after hint (queue depth × mean solve
-// latency, jittered), which ufpserve surfaces as HTTP 429 +
-// Retry-After; Config.BlockOnFull restores blocking for single-tenant
-// CLI use. cmd/ufpserve wires the router in-process (-shards N), and
-// its -route mode proxies misrouted session calls to static peer
-// ufpserve processes (-peers, -self) with request-id propagation —
-// see the README's "Cluster operations" section for flags, metric
-// families (ufp_shard_*, ufp_route_*), and the ufpbench -load
-// -targets replay driver that closes the loop in CI.
+// cmd/ufpserve serves every request from one Engine: solve jobs run on
+// its worker pool, sessions live in its session manager. Every answer
+// is a deterministic function of the job, so more processes add
+// throughput, never different outcomes. A full job queue sheds instead
+// of queueing without bound: the job fails fast with an overload error
+// carrying a retry-after hint (queue depth × mean solve latency,
+// jittered), which ufpserve surfaces as HTTP 429 + Retry-After;
+// EngineConfig.BlockOnFull restores blocking for single-tenant CLI use.
+// The server's -route mode runs several processes as one cluster:
+// session ids carry the owning node's "p<i>." prefix, and a node
+// proxies a call for another node's id to that peer (-peers, -self)
+// with request-id propagation, never proxying a proxied call again —
+// see the README's "Cluster operations" section for flags, the
+// ufp_route_forwarded_total family, and the ufpbench -load -targets
+// replay driver that closes the loop in CI.
 package truthfulufp

@@ -6,7 +6,6 @@
 package bench
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,12 +16,10 @@ import (
 
 	"truthfulufp/internal/auction"
 	"truthfulufp/internal/core"
-	"truthfulufp/internal/engine"
 	"truthfulufp/internal/graph"
 	"truthfulufp/internal/metrics"
 	"truthfulufp/internal/pathfind"
 	"truthfulufp/internal/scenario"
-	"truthfulufp/internal/shard"
 	"truthfulufp/internal/workload"
 )
 
@@ -535,32 +532,10 @@ type Snapshot struct {
 	SessionAdmitSpeedup float64 `json:"session_admit_speedup"`
 	// SessionAdmitLatency is the per-admit tail-latency profile of the
 	// streamed session path, measured by a dedicated pass through the
-	// waxman request stream into a metrics.Histogram (the ROADMAP
-	// cluster-bench trend gate's groundwork). Omitted in snapshots
-	// predating it, so older baselines still decode strictly.
+	// waxman request stream into a metrics.Histogram. Omitted in
+	// snapshots predating it, so older baselines still decode strictly.
 	SessionAdmitLatency *LatencyQuantiles `json:"session_admit_latency,omitempty"`
-	// ClusterServe is the sharded serving stack's profile: end-to-end
-	// job latency through a multi-shard router under a closed loop, and
-	// the shed rate of a saturating burst against full queues (the
-	// ROADMAP cluster-bench trend gate). Omitted in older snapshots.
-	ClusterServe *ClusterServe    `json:"cluster_serve,omitempty"`
-	Benchmarks   map[string]Entry `json:"benchmarks"`
-}
-
-// ClusterServe is the serving-cluster measurement recorded in the
-// snapshot: the latency quantiles of jobs routed through a
-// shard.Router, and the load-shedding outcome of a deliberately
-// saturating burst (every worker pinned, every queue slot full).
-type ClusterServe struct {
-	Shards  int              `json:"shards"`
-	Latency LatencyQuantiles `json:"latency"`
-	// BurstJobs/BurstShed count the saturation phase: BurstShed of
-	// BurstJobs distinct jobs were refused with ErrOverloaded instead of
-	// blocking. ShedRate = BurstShed/BurstJobs; it must be positive — a
-	// saturated cluster that never sheds is an overload-semantics bug.
-	BurstJobs int     `json:"burst_jobs"`
-	BurstShed int64   `json:"burst_shed"`
-	ShedRate  float64 `json:"shed_rate"`
+	Benchmarks          map[string]Entry  `json:"benchmarks"`
 }
 
 // LatencyQuantiles is a bucket-estimated latency profile
@@ -609,155 +584,6 @@ func measureSessionAdmitLatency(quick bool) (*LatencyQuantiles, error) {
 		}
 	}
 	return latencyQuantiles(h.Snapshot()), nil
-}
-
-// slowGridInstance is a solve heavy enough to pin a worker for the
-// whole burst phase: a dense grid with hundreds of near-saturating
-// requests (minutes of primal-dual work at small ε).
-func slowGridInstance(quick bool) *core.Instance {
-	side, requests := 30, 800
-	if quick {
-		side, requests = 20, 400
-	}
-	key := fmt.Sprintf("slowgrid/%d/%d", side, requests)
-	if v, ok := instCache.Load(key); ok {
-		return v.(*core.Instance)
-	}
-	g := graph.Grid(side, side, 100)
-	n := g.NumVertices()
-	inst := &core.Instance{G: g}
-	for i := 0; i < requests; i++ {
-		s := (i * 131) % n
-		t := (i*197 + n/2) % n
-		if s == t {
-			t = (t + 1) % n
-		}
-		inst.Requests = append(inst.Requests, core.Request{
-			Source: s, Target: t, Demand: 0.9, Value: 1 + 0.001*float64(i),
-		})
-	}
-	v, _ := instCache.LoadOrStore(key, inst)
-	return v.(*core.Instance)
-}
-
-// measureClusterServe profiles the shard router the way ufpbench
-// -load -targets drives a real cluster, in-process so the snapshot
-// stays network-free. Phase one streams distinct jobs through a
-// blocking multi-shard router under a closed loop and histograms the
-// client-observed latency; phase two pins every worker of a shedding
-// router with slow solves, fills the queues, and fires a burst of
-// distinct jobs that must be refused with ErrOverloaded.
-func measureClusterServe(quick bool) (*ClusterServe, error) {
-	shards, jobs := 4, 96
-	if quick {
-		shards, jobs = 2, 32
-	}
-
-	// Latency profile: one-worker shards with blocking queues, twice as
-	// many jobs in flight as shards, so routing and queueing are both in
-	// the measured path.
-	lr := shard.New(shard.Config{Shards: shards, Engine: engine.Config{
-		Workers: 1, CacheSize: -1, BlockOnFull: true,
-	}})
-	h := metrics.NewHistogram(metrics.DefLatencyBuckets)
-	rng := workload.NewRNG(11)
-	stream := make([]engine.Job, jobs)
-	for i := range stream {
-		inst, err := workload.RandomUFP(rng, workload.DefaultUFPConfig())
-		if err != nil {
-			lr.Close()
-			return nil, err
-		}
-		stream[i] = engine.Job{Algorithm: "ufp/bounded", Eps: 0.25, UFP: inst}
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 2*shards)
-	errc := make(chan error, jobs)
-	for i := range stream {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			start := time.Now()
-			_, err := lr.Do(context.Background(), stream[i])
-			h.Observe(time.Since(start).Seconds())
-			if err != nil {
-				errc <- err
-			}
-		}(i)
-	}
-	wg.Wait()
-	lr.Close()
-	close(errc)
-	for err := range errc {
-		return nil, err
-	}
-
-	// Saturating burst: every shard's lone worker pinned by a slow
-	// solve and every single-slot queue filled behind it, then a burst
-	// of 4x shards distinct jobs against the fully saturated cluster —
-	// each must be refused immediately. The pinning jobs run on a dense
-	// grid with hundreds of near-saturating requests: minutes of work at
-	// ε = 0.1, cancelled as soon as the burst is counted.
-	sr := shard.New(shard.Config{Shards: shards, Engine: engine.Config{
-		Workers: 1, QueueDepth: 1, CacheSize: -1,
-	}})
-	defer sr.Close()
-	slow := slowGridInstance(quick)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var pinned sync.WaitGroup
-	for i := 0; i < 2*shards; i++ {
-		// Distinct request prefixes make distinct fingerprints; 2x shards
-		// of them pin every worker and overflow into the queue slots.
-		job := engine.Job{Algorithm: "ufp/bounded", Eps: 0.1,
-			UFP: &core.Instance{G: slow.G, Requests: slow.Requests[:len(slow.Requests)-i]}}
-		pinned.Add(1)
-		go func() {
-			defer pinned.Done()
-			_, _ = sr.Do(ctx, job)
-		}()
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		snap := sr.Snapshot()
-		if int(snap.BusyWorkers) >= shards && snap.QueueDepth >= shards {
-			break
-		}
-		if time.Now().After(deadline) {
-			cancel()
-			pinned.Wait()
-			return nil, fmt.Errorf("bench: cluster burst never saturated (busy %.0f, queued %d)",
-				snap.BusyWorkers, snap.QueueDepth)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	burst := 4 * shards
-	var burstWG sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		job := engine.Job{Algorithm: "ufp/bounded", Eps: 0.1,
-			UFP: &core.Instance{G: slow.G, Requests: slow.Requests[:i+1]}}
-		burstWG.Add(1)
-		go func() {
-			defer burstWG.Done()
-			_, _ = sr.Do(ctx, job)
-		}()
-	}
-	burstWG.Wait()
-	shed := sr.Snapshot().Shed
-	cancel()
-	pinned.Wait()
-	if shed <= 0 {
-		return nil, fmt.Errorf("bench: saturating burst of %d jobs shed nothing", burst)
-	}
-	return &ClusterServe{
-		Shards:    shards,
-		Latency:   *latencyQuantiles(h.Snapshot()),
-		BurstJobs: burst,
-		BurstShed: shed,
-		ShedRate:  float64(shed) / float64(burst),
-	}, nil
 }
 
 // speedups maps each derived ratio to its full/baseline benchmark pair
@@ -822,11 +648,6 @@ func Run(cases []Case, quick bool) Snapshot {
 		panic(fmt.Sprintf("bench: session-admit latency pass: %v", err))
 	}
 	snap.SessionAdmitLatency = lat
-	cs, err := measureClusterServe(quick)
-	if err != nil {
-		panic(fmt.Sprintf("bench: cluster serving pass: %v", err))
-	}
-	snap.ClusterServe = cs
 	return snap
 }
 
@@ -886,17 +707,6 @@ func Compare(fresh, baseline Snapshot, maxRegression float64) error {
 		if regression > maxRegression {
 			return fmt.Errorf("bench: %s speedup regressed %.0f%% (%.2fx -> %.2fx, tolerance %.0f%%)",
 				sp.name, regression*100, base, sp.read(fresh), maxRegression*100)
-		}
-	}
-	// The cluster serving profile, once in a baseline, must not vanish —
-	// and a saturated cluster must still shed (absolute latencies are
-	// runner hardware, the shedding contract is not).
-	if baseline.ClusterServe != nil {
-		if fresh.ClusterServe == nil {
-			return fmt.Errorf("bench: snapshot lost the cluster serving profile the baseline carries")
-		}
-		if fresh.ClusterServe.BurstShed <= 0 {
-			return fmt.Errorf("bench: saturated cluster shed nothing (%d burst jobs)", fresh.ClusterServe.BurstJobs)
 		}
 	}
 	return nil

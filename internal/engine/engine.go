@@ -154,8 +154,8 @@ type Config struct {
 	// SessionTTL expires sessions idle longer than this (0 = never).
 	SessionTTL time.Duration
 	// SessionIDPrefix is prepended to generated session ids (see
-	// session.Config.IDPrefix). The shard router gives each backend a
-	// distinct prefix so a session id names its owning shard.
+	// session.Config.IDPrefix). ufpserve's route mode sets "p<i>." so a
+	// session id names its owning node.
 	SessionIDPrefix string
 }
 
@@ -296,8 +296,8 @@ func New(cfg Config) *Engine {
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
 // QueueDepth returns the number of tasks currently waiting in the job
-// queue — the live backpressure signal behind the shard router's
-// per-shard gauges and the server's saturation-aware readiness.
+// queue — the live backpressure signal behind the server's
+// saturation-aware readiness.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
 // QueueCapacity returns the job queue's bound.
@@ -305,55 +305,6 @@ func (e *Engine) QueueCapacity() int { return cap(e.queue) }
 
 // BusyWorkers returns the number of workers currently executing a task.
 func (e *Engine) BusyWorkers() float64 { return e.busy.Value() }
-
-// Counters is the engine's monotone job counters, read lock-free —
-// the cheap subset of Snapshot that aggregation layers (the shard
-// router's cluster-wide metric families) poll at scrape time without
-// paying for a latency summary or a session sweep.
-type Counters struct {
-	Submitted   int64
-	Completed   int64
-	CacheHits   int64
-	CacheMisses int64
-	Coalesced   int64
-	Failures    int64
-	Cancelled   int64
-	Shed        int64
-}
-
-// Counters returns the engine's current monotone counters.
-func (e *Engine) Counters() Counters {
-	return Counters{
-		Submitted:   e.submitted.Load(),
-		Completed:   e.completed.Load(),
-		CacheHits:   e.hits.Load(),
-		CacheMisses: e.misses.Load(),
-		Coalesced:   e.coalesced.Load(),
-		Failures:    e.failures.Load(),
-		Cancelled:   e.cancelled.Load(),
-		Shed:        e.shed.Load(),
-	}
-}
-
-// CacheMisses returns the number of cache-eligible jobs that had to
-// execute (the counterpart of Snapshot().CacheHits, exposed for
-// aggregation layers that re-derive the per-registry metric families).
-func (e *Engine) CacheMisses() int64 { return e.misses.Load() }
-
-// CacheEntries returns the number of results currently held by the LRU
-// cache (0 when caching is disabled).
-func (e *Engine) CacheEntries() int {
-	if e.cache == nil {
-		return 0
-	}
-	return e.cache.len()
-}
-
-// LatencyHistogram exposes the engine's per-execution solve-latency
-// histogram (fixed DefLatencyBuckets), for aggregation layers — the
-// shard router labels one per shard — that cannot reuse
-// RegisterMetrics' unlabeled family names in the same registry.
-func (e *Engine) LatencyHistogram() *metrics.Histogram { return e.latencySec }
 
 // Sessions returns the engine's stateful session manager — registered
 // networks with live online-admission state, served beside the batch
